@@ -430,15 +430,30 @@ def cmd_bench(ns: argparse.Namespace) -> int:
 _RUNNERS = {"synth": _run_synth, "fit": _run_fit, "bench": _run_bench}
 
 
+class _ManifestConfig(dict):
+    """A manifest's config; a key the runner needs but cannot find is a usage error."""
+
+    def __missing__(self, key):
+        raise UsageError(f"manifest config has no {key!r} entry")
+
+
 def cmd_rerun(ns: argparse.Namespace) -> int:
     manifest_path = Path(ns.manifest)
     with open(manifest_path, "r", encoding="ascii") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise UsageError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise UsageError("manifest must be a JSON object")
     command = manifest.get("command")
     if command not in _RUNNERS:
         raise UsageError(f"manifest names unknown command {command!r}")
+    config = manifest.get("config")
+    if not isinstance(config, dict):
+        raise UsageError("manifest has no config object")
     out_dir = Path(ns.out) if ns.out else manifest_path.resolve().parent
-    return _RUNNERS[command](manifest["config"], out_dir)
+    return _RUNNERS[command](_ManifestConfig(config), out_dir)
 
 
 # ----------------------------------------------------------------- main

@@ -2,12 +2,11 @@
 
 Everything here is pure and deterministic: input arrays are copied and
 frozen on construction, eigenvector signs follow a fixed convention, and
-the power iteration starts from a fixed vector so repeated runs of the
+spectra come from LAPACK's symmetric eigensolvers, so repeated runs of the
 same build produce identical bits.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ ORTHONORMALITY_RTOL = 1e-10
 SYMMETRY_RTOL = 1e-12
 # Singular values at or below this fraction of the largest count as zero.
 RANK_RTOL = 1e-12
-SPECTRAL_NORM_RTOL = 1e-9
 SPECTRUM_GAP_RTOL = 1e-10
 _SIGN_TOL = 1e-12
 
@@ -206,26 +204,13 @@ def top_r_eigvecs(matrix: SymmetricMatrix, r: int) -> Projection:
 
 
 def spectral_norm(matrix: SymmetricMatrix) -> float:
-    """Largest absolute eigenvalue, to 1e-9 relative accuracy.
+    """Largest absolute eigenvalue, max |eigvalsh(A)|.
 
-    Power iteration from the normalized all-ones vector, capped at 10 * n
-    iterations.  The iterate is accepted once the eigen-residual
-    ||A v - q v|| drops below 1e-9 |q|; if the iteration stalls (tiny
-    eigengap, or the start vector lies in an invariant complement) the
-    exact eigendecomposition is used instead.
+    The solvers call this on the small m-by-m scatter matrix, where one
+    LAPACK eigenvalue call is accurate to rounding and cheaper than an
+    iterative estimate.  A zero matrix returns 0.0 without a decomposition.
     """
     a = matrix.values
-    n = matrix.n
     if not a.any():
         return 0.0
-    v = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(10 * n):
-        av = a @ v
-        norm_av = np.linalg.norm(av)
-        if norm_av == 0.0:
-            break
-        rayleigh = float(v @ av)
-        if np.linalg.norm(av - rayleigh * v) <= SPECTRAL_NORM_RTOL * abs(rayleigh):
-            return abs(rayleigh)
-        v = av / norm_av
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))

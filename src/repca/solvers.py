@@ -16,8 +16,12 @@ M = X diag(d) X^T, then move the basis.
                     counted rather than damped.
 
 Convergence is declared when the relative objective change drops to
-``tol``; a zero scatter matrix (residual exactly zero) also counts as
-converged because the objective is at its global minimum.
+``tol``.  A residual at rounding level (||R||_F <= 1e-12 ||X||_F) also
+counts as converged before any step is taken: the basis then spans the
+data, every loss is at its global minimum, and the relative test would
+only compare rounding noise with rounding noise.  This covers k = m, data
+of rank at most k, and the exactly zero residual, where the scatter
+matrix vanishes and no step is defined.
 """
 from __future__ import annotations
 
@@ -33,6 +37,8 @@ from .linalg import DataMatrix, Projection, SymmetricMatrix, procrustes_project,
 from .objectives import NormSpec, _objective_from_residual, weighted_scatter, weights_l1, weights_l2p
 
 MONOTONE_SLACK_RTOL = 1e-12
+# ||X - W W^T X||_F at or below this fraction of ||X||_F is rounding noise.
+SPAN_RTOL = 1e-12
 
 VARIANTS = ("pgd", "momentum", "irls")
 INITS = ("vanilla", "random")
@@ -188,13 +194,14 @@ def fit_pgd(
         callback(0, basis, trace[0])
     converged = False
     iterations = 0
+    floor = SPAN_RTOL * np.linalg.norm(x)
     for it in range(1, config.max_iter + 1):
+        if np.linalg.norm(resid) <= floor:
+            converged = True
+            break
         d = _weights_for(norm, resid, config.eps)
         scatter = weighted_scatter(data, d)
         top = spectral_norm(scatter)
-        if top == 0.0:
-            converged = True
-            break
         basis = procrustes_project(w + (scatter.values @ w) / top)
         w = basis.values
         resid = x - w @ (w.T @ x)
@@ -237,13 +244,14 @@ def fit_momentum(
     converged = False
     iterations = 0
     s = 1
+    floor = SPAN_RTOL * np.linalg.norm(x)
     for it in range(1, config.max_iter + 1):
+        if np.linalg.norm(resid) <= floor:
+            converged = True
+            break
         d = _weights_for(norm, resid, config.eps)
         scatter = weighted_scatter(data, d)
         top = spectral_norm(scatter)
-        if top == 0.0:
-            converged = True
-            break
         v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
         basis = procrustes_project(v + (scatter.values @ v) / top)
         w_old = w
@@ -288,12 +296,13 @@ def fit_irls(
     converged = False
     iterations = 0
     gap_events = 0
+    floor = SPAN_RTOL * np.linalg.norm(x)
     for it in range(1, config.max_iter + 1):
-        d = _weights_for(norm, resid, config.eps)
-        scatter = weighted_scatter(data, d)
-        if not scatter.values.any():
+        if np.linalg.norm(resid) <= floor:
             converged = True
             break
+        d = _weights_for(norm, resid, config.eps)
+        scatter = weighted_scatter(data, d)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             basis = top_r_eigvecs(scatter, k)

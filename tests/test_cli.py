@@ -218,6 +218,32 @@ def test_rerun_missing_manifest(tmp_path):
     assert main(["rerun", "--manifest", str(tmp_path / "none.json")]) == 1
 
 
+@pytest.mark.parametrize("shape", (
+    "invalid_json", "not_ascii", "not_an_object", "no_config",
+    "config_not_a_dict", "config_missing_key",
+))
+def test_rerun_malformed_manifest_exits_two(tmp_path, capsys, shape):
+    synth_dir = _synth(tmp_path)
+    manifest = json.loads((synth_dir / "manifest.json").read_text())
+    if shape == "not_ascii":
+        manifest["tool"] = "r\u00e9pca"
+    elif shape == "not_an_object":
+        manifest = [manifest]
+    elif shape == "no_config":
+        del manifest["config"]
+    elif shape == "config_not_a_dict":
+        manifest["config"] = "m=6"
+    elif shape == "config_missing_key":
+        del manifest["config"]["header"]
+    text = json.dumps(manifest, ensure_ascii=False)
+    path = tmp_path / "bad.json"
+    path.write_text(text[:-1] if shape == "invalid_json" else text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "y")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ------------------------------------------------------------------ parsing
 
 
