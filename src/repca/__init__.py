@@ -4,9 +4,9 @@ Vanilla PCA minimizes the squared Frobenius norm of X - W W^T X over
 orthonormal W, which squares each residual and lets a few corrupted
 samples dominate the fit.  This package swaps in two robust losses,
 the elementwise l1 norm and a columnwise l2 norm raised to a power
-p in (0, 2], and minimizes them on the same constraint set with three
-iteratively reweighted solvers: projected gradient descent, a
-momentum-accelerated variant, and a fixed-point scheme that solves an
+p in (0, 2], and minimizes them on the same constraint set with one
+iteratively reweighted loop, ``fit``, that takes one of three steps:
+projected gradient descent, a momentum-accelerated variant, or an
 eigenproblem per iteration.
 
 Data convention throughout: samples are columns, features are rows,
@@ -19,7 +19,6 @@ from .errors import (
     InvalidSpec,
     RankDeficient,
     SpectrumGapWarning,
-    StepUndefined,
 )
 from .linalg import (
     DataMatrix,
@@ -34,7 +33,6 @@ from .metrics import EvalReport, evaluate, principal_angles
 from .objectives import (
     NormSpec,
     gradient,
-    lipschitz_step,
     objective_value,
     residual,
     weighted_scatter,
@@ -47,9 +45,6 @@ from .solvers import (
     check_convergence,
     count_monotone_violations,
     fit,
-    fit_irls,
-    fit_momentum,
-    fit_pgd,
     vanilla_pca,
 )
 
@@ -67,7 +62,6 @@ __all__ = [
     "RankDeficient",
     "SolverConfig",
     "SpectrumGapWarning",
-    "StepUndefined",
     "SymmetricMatrix",
     "SynthSpec",
     "center_columns",
@@ -75,11 +69,7 @@ __all__ = [
     "count_monotone_violations",
     "evaluate",
     "fit",
-    "fit_irls",
-    "fit_momentum",
-    "fit_pgd",
     "gradient",
-    "lipschitz_step",
     "objective_value",
     "principal_angles",
     "procrustes_project",

@@ -25,7 +25,7 @@ from .errors import CsvParseError, InvalidSpec
 from .linalg import DataMatrix, Projection, center_columns
 from .metrics import evaluate
 from .objectives import NormSpec, objective_value
-from .solvers import SolverConfig, fit, vanilla_pca
+from .solvers import INITS, VARIANTS, SolverConfig, fit, vanilla_pca
 
 _EPILOG = """\
 file formats:
@@ -38,7 +38,6 @@ reproducing a run:
   repca rerun --manifest OUT/manifest.json --out NEWDIR
 """
 
-ROBUST_SOLVERS = ("pgd", "momentum", "irls")
 SUMMARY_HEADER = "solver,norm,p,final_objective,iterations,wall_time_ms,max_angle_rad"
 
 
@@ -129,8 +128,8 @@ def _run_synth(config: dict, out_dir: Path) -> int:
         seed=config["seed"],
     )
     data, basis, mask = synth_subspace(spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = [f"f{i}" for i in range(spec.m)] if config["header"] else None
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out_dir / "data.csv", data.values.T, header=header)
     write_matrix_csv(out_dir / "w_true.csv", basis.values)
     write_mask_csv(out_dir / "outlier_mask.csv", mask)
@@ -268,7 +267,7 @@ def _bench_once(data, reference, k, config, seed, repeat, traces, reports, rows,
     for kind in config["norms"]:
         p = config["p"] if kind == "l2p" else None
         norm = _norm_spec(kind, p)
-        for variant in ROBUST_SOLVERS:
+        for variant in VARIANTS:
             solver_cfg = SolverConfig(
                 variant=variant,
                 max_iter=config["max_iter"],
@@ -306,7 +305,7 @@ def _run_bench(config: dict, out_dir: Path) -> int:
     rows[("vanilla", "fro", None)] = []
     for kind in config["norms"]:
         p = config["p"] if kind == "l2p" else None
-        for variant in ROBUST_SOLVERS:
+        for variant in VARIANTS:
             rows[(variant, kind, p)] = []
             wins[f"{variant}:{kind}"] = 0
 
@@ -430,11 +429,46 @@ def cmd_bench(ns: argparse.Namespace) -> int:
 _RUNNERS = {"synth": _run_synth, "fit": _run_fit, "bench": _run_bench}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+_STRING = ("a string", lambda v: isinstance(v, str))
+# What each config value must be, as the commands write it: (name, test).
+_CONFIG_TYPES = {
+    **dict.fromkeys(("m", "n", "k_true", "k", "seed", "repeats", "max_iter"), ("an integer", _is_int)),
+    **dict.fromkeys(("noise_sigma", "outlier_frac", "outlier_scale", "tol", "eps"), ("a number", _is_number)),
+    "p": ("a number or null", lambda v: v is None or _is_number(v)),
+    **dict.fromkeys(("header", "center"), ("true or false", lambda v: isinstance(v, bool))),
+    **dict.fromkeys(("norm", "solver", "init"), _STRING),
+    **dict.fromkeys(("input", "w_true"), ("a string or null", lambda v: v is None or isinstance(v, str))),
+    "norms": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+}
+# bench writes a null input when it synthesizes; fit always reads a file.
+_FIT_TYPES = {**_CONFIG_TYPES, "input": _STRING}
+
+
 class _ManifestConfig(dict):
-    """A manifest's config; a key the runner needs but cannot find is a usage error."""
+    """A manifest's config.  A key the runner reads is a usage error when it
+    is missing or holds another JSON type than the command writes."""
+
+    def __init__(self, config: dict, types: dict) -> None:
+        super().__init__(config)
+        self._types = types
 
     def __missing__(self, key):
         raise UsageError(f"manifest config has no {key!r} entry")
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        name, ok = self._types[key]
+        if not ok(value):
+            raise UsageError(f"manifest config {key!r} must be {name}, got {json.dumps(value)}")
+        return value
 
 
 def cmd_rerun(ns: argparse.Namespace) -> int:
@@ -453,7 +487,8 @@ def cmd_rerun(ns: argparse.Namespace) -> int:
     if not isinstance(config, dict):
         raise UsageError("manifest has no config object")
     out_dir = Path(ns.out) if ns.out else manifest_path.resolve().parent
-    return _RUNNERS[command](_ManifestConfig(config), out_dir)
+    types = _FIT_TYPES if command == "fit" else _CONFIG_TYPES
+    return _RUNNERS[command](_ManifestConfig(config, types), out_dir)
 
 
 # ----------------------------------------------------------------- main
@@ -491,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reconstruction loss (fro solves vanilla PCA directly)")
     fit_p.add_argument("--p", type=float, default=None,
                        help="exponent for --norm l2p, in (0, 2] (default 1)")
-    fit_p.add_argument("--solver", choices=ROBUST_SOLVERS, default="pgd")
+    fit_p.add_argument("--solver", choices=VARIANTS, default="pgd")
     _add_solver_flags(fit_p)
     fit_p.add_argument("--no-center", action="store_true", dest="no_center",
                        help="input is already centered; fail if it is not")
@@ -538,7 +573,7 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
                     help="relative objective-change stopping threshold (default 1e-8)")
     sp.add_argument("--eps", type=float, default=1e-10,
                     help="residual-norm clamp for the weight denominators (default 1e-10)")
-    sp.add_argument("--init", choices=("vanilla", "random"), default="vanilla",
+    sp.add_argument("--init", choices=INITS, default="vanilla",
                     help="starting basis: vanilla PCA or a seeded random orthonormal matrix")
     if sp.prog.endswith("fit"):
         sp.add_argument("--seed", type=int, default=0,

@@ -9,14 +9,6 @@ class RankDeficient(RuntimeError):
     """A matrix that must have full column rank does not."""
 
 
-class StepUndefined(RuntimeError):
-    """The step size is undefined because the weighted scatter matrix is zero.
-
-    This happens exactly when every weighted sample vanishes, i.e. the
-    residual is already zero and the objective sits at its global minimum.
-    """
-
-
 class InvalidSpec(ValueError):
     """A loss, generator, or solver configuration failed validation."""
 

@@ -1,4 +1,4 @@
-"""Reconstruction losses, reweighting diagonals, gradients, and step sizes.
+"""Reconstruction losses, reweighting diagonals, and gradients.
 
 All three losses measure the same residual Y = X - W W^T X.  The robust
 ones (elementwise l1, columnwise l2,p) are handled by reweighting: a
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, StepUndefined
-from .linalg import DataMatrix, Projection, SymmetricMatrix, spectral_norm
+from .errors import DimensionMismatch, InvalidSpec
+from .linalg import DataMatrix, Projection, SymmetricMatrix
 
 DEFAULT_EPS = 1e-10
 
@@ -160,14 +160,3 @@ def gradient(
         )
     return -factor * (x @ (d[:, None] * (x.T @ basis.values)))
 
-
-def lipschitz_step(data: DataMatrix, weights: np.ndarray, factor: float) -> float:
-    """Largest step with guaranteed descent: 1 / (factor * ||X diag(d) X^T||_2).
-
-    Raises StepUndefined when the scatter matrix is zero, which happens
-    exactly when the residual is already zero everywhere.
-    """
-    top = spectral_norm(weighted_scatter(data, weights))
-    if top == 0.0:
-        raise StepUndefined("weighted scatter is zero; the residual is already zero")
-    return 1.0 / (factor * top)

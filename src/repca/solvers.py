@@ -1,19 +1,21 @@
 """Orthonormal-subspace solvers for the robust reconstruction losses.
 
-Three iterations share one skeleton: rebuild the per-sample weight
-diagonal from the current residual, form the reweighted scatter
-M = X diag(d) X^T, then move the basis.
+``fit`` runs one reweighted majorize-minimize (MM) loop.  Each round
+rebuilds the per-sample weight diagonal d from the current residual,
+forms the reweighted scatter M = X diag(d) X^T, and then takes one step
+that decreases the weighted quadratic tr(Y diag(d) Y^T) built around the
+current basis.  ``SolverConfig.variant`` picks only that step:
 
-* ``fit_pgd``       takes the gradient step W + M W / ||M||_2 and retracts
-                    with the nearest-orthonormal (Procrustes) projection.
-                    The step equals the descent-guaranteed 1/L for the
-                    loss's gradient convention, so the trace is monotone.
-* ``fit_momentum``  extrapolates V = W + (s-2)/(s+1) (W - W_old) first and
-                    steps from V.  Faster, but without the monotone
-                    guarantee.
-* ``fit_irls``      replaces W with the top-k eigenvectors of M each
-                    round.  Occasional objective increases are kept and
-                    counted rather than damped.
+* ``pgd``       the gradient step W + M W / ||M||_2, retracted with the
+                nearest-orthonormal (Procrustes) projection.  The step
+                equals the descent-guaranteed 1/L for the loss's gradient
+                convention, so the columnwise trace is monotone.
+* ``momentum``  the same step, along the scatter built at W, taken from
+                the extrapolated point V = W + (s-2)/(s+1) (W - W_old).
+                Faster, but without the monotone guarantee.
+* ``irls``      the top-k eigenvectors of M.  Occasional objective
+                increases are kept and counted rather than damped, and
+                near-degenerate eigengaps are counted, not raised.
 
 Convergence is declared when the relative objective change drops to
 ``tol``.  A residual at rounding level (||R||_F <= 1e-12 ||X||_F) also
@@ -122,11 +124,7 @@ def _require_centered(data: DataMatrix) -> None:
         raise ValueError("data must be centered; run center_columns first")
 
 
-def _check_fit_args(data: DataMatrix, k: int, norm: NormSpec, config: SolverConfig, variant: str) -> None:
-    if config.variant != variant:
-        raise InvalidSpec(
-            f"config.variant is {config.variant!r} but the {variant} solver was called"
-        )
+def _check_fit_args(data: DataMatrix, k: int, norm: NormSpec, config: SolverConfig) -> None:
     if norm.kind not in ("l1", "l2p"):
         raise InvalidSpec(f"robust solvers take the l1 or l2p loss, got {norm.kind!r}")
     _require_centered(data)
@@ -152,140 +150,66 @@ def _weights_for(norm: NormSpec, resid: np.ndarray, eps: float) -> np.ndarray:
     return weights_l2p(resid, norm.p, eps)
 
 
-def _result(projection, trace, iterations, converged, start, gap_events=0) -> FitResult:
-    return FitResult(
-        projection=projection,
-        objective_trace=np.asarray(trace, dtype=float),
-        iterations=iterations,
-        converged=converged,
-        wall_time_ms=(time.perf_counter() - start) * 1000.0,
-        monotone_violations=count_monotone_violations(trace),
-        spectrum_gap_events=gap_events,
-    )
+# Each step factory returns step(w, scatter) -> (basis, spectrum gap events),
+# holding whatever state its variant carries from one round to the next.
+
+def _pgd_step(k: int):
+    def step(w, scatter):
+        return procrustes_project(w + (scatter.values @ w) / spectral_norm(scatter)), 0
+    return step
 
 
-def fit_pgd(
-    data: DataMatrix,
-    k: int,
-    norm: NormSpec,
-    config: SolverConfig | None = None,
-    callback: IterationCallback | None = None,
-) -> FitResult:
-    """Projected-gradient descent on the chosen robust loss.
+def _momentum_step(k: int):
+    w_old, s = None, 1
 
-    Each round rebuilds the weight diagonal at the current basis, steps
-    along the reweighted scatter with the largest step the descent bound
-    allows, and retracts onto the orthonormal matrices.  Every step
-    decreases the weighted quadratic built around the current iterate.
-    For the columnwise loss that quadratic lies above the loss itself,
-    so the recorded trace is non-increasing up to rounding; the
-    elementwise loss enjoys no such bound and its trace can tick upward
-    even though the overall trend still falls.
-    """
-    config = config if config is not None else SolverConfig(variant="pgd")
-    _check_fit_args(data, k, norm, config, "pgd")
-    start = time.perf_counter()
-    basis = _initial_basis(data, k, config)
-    x = data.values
-    w = basis.values
-    resid = x - w @ (w.T @ x)
-    trace = [_objective_from_residual(resid, norm)]
-    if callback is not None:
-        callback(0, basis, trace[0])
-    converged = False
-    iterations = 0
-    floor = SPAN_RTOL * np.linalg.norm(x)
-    for it in range(1, config.max_iter + 1):
-        if np.linalg.norm(resid) <= floor:
-            converged = True
-            break
-        d = _weights_for(norm, resid, config.eps)
-        scatter = weighted_scatter(data, d)
-        top = spectral_norm(scatter)
-        basis = procrustes_project(w + (scatter.values @ w) / top)
-        w = basis.values
-        resid = x - w @ (w.T @ x)
-        trace.append(_objective_from_residual(resid, norm))
-        iterations = it
-        if callback is not None:
-            callback(it, basis, trace[-1])
-        if check_convergence(trace, config.tol):
-            converged = True
-            break
-    return _result(basis, trace, iterations, converged, start)
-
-
-def fit_momentum(
-    data: DataMatrix,
-    k: int,
-    norm: NormSpec,
-    config: SolverConfig | None = None,
-    callback: IterationCallback | None = None,
-) -> FitResult:
-    """Momentum-accelerated variant of ``fit_pgd``.
-
-    Keeps the previous basis and a counter s starting at 1; each round
-    extrapolates V = W + (s-2)/(s+1) (W - W_old), steps from V along the
-    scatter built at W, retracts, and increments s.  The first round is a
-    plain gradient step because W_old starts equal to W.  The objective
-    may fluctuate; increases are counted, not suppressed.
-    """
-    config = config if config is not None else SolverConfig(variant="momentum")
-    _check_fit_args(data, k, norm, config, "momentum")
-    start = time.perf_counter()
-    basis = _initial_basis(data, k, config)
-    x = data.values
-    w = basis.values
-    w_old = w
-    resid = x - w @ (w.T @ x)
-    trace = [_objective_from_residual(resid, norm)]
-    if callback is not None:
-        callback(0, basis, trace[0])
-    converged = False
-    iterations = 0
-    s = 1
-    floor = SPAN_RTOL * np.linalg.norm(x)
-    for it in range(1, config.max_iter + 1):
-        if np.linalg.norm(resid) <= floor:
-            converged = True
-            break
-        d = _weights_for(norm, resid, config.eps)
-        scatter = weighted_scatter(data, d)
+    def step(w, scatter):
+        nonlocal w_old, s
+        if w_old is None:  # W_old starts equal to W: a plain gradient step
+            w_old = w
         top = spectral_norm(scatter)
         v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
-        basis = procrustes_project(v + (scatter.values @ v) / top)
-        w_old = w
-        w = basis.values
-        s += 1
-        resid = x - w @ (w.T @ x)
-        trace.append(_objective_from_residual(resid, norm))
-        iterations = it
-        if callback is not None:
-            callback(it, basis, trace[-1])
-        if check_convergence(trace, config.tol):
-            converged = True
-            break
-    return _result(basis, trace, iterations, converged, start)
+        w_old, s = w, s + 1
+        return procrustes_project(v + (scatter.values @ v) / top), 0
+    return step
 
 
-def fit_irls(
+def _irls_step(k: int):
+    def step(w, scatter):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            basis = top_r_eigvecs(scatter, k)
+        return basis, sum(1 for c in caught if issubclass(c.category, SpectrumGapWarning))
+    return step
+
+
+_STEPS = {"pgd": _pgd_step, "momentum": _momentum_step, "irls": _irls_step}
+
+
+def fit(
     data: DataMatrix,
     k: int,
     norm: NormSpec,
-    config: SolverConfig | None = None,
+    config: SolverConfig = SolverConfig(),
     callback: IterationCallback | None = None,
 ) -> FitResult:
-    """Iteratively reweighted eigendecomposition.
+    """Fit a k-column orthonormal basis minimizing the chosen robust loss.
 
-    Each round rebuilds the weight diagonal and jumps straight to the
-    top-k eigenvectors of the reweighted scatter.  Typically converges in
-    very few rounds; any objective increase is kept and counted in
-    ``monotone_violations``.  Near-degenerate eigengaps are recorded in
-    ``spectrum_gap_events`` instead of raising.
+    Each round rebuilds the weight diagonal at the current basis, forms the
+    reweighted scatter, and moves the basis by the step ``config.variant``
+    names (see the module docstring).  Each pgd step decreases the weighted
+    quadratic built around the current iterate.  For the columnwise loss
+    that quadratic lies above the loss itself, so the recorded trace is
+    non-increasing up to rounding; the elementwise loss enjoys no such
+    bound and its trace can tick upward even though the overall trend
+    still falls.  momentum and irls increases are counted in
+    ``monotone_violations``, not suppressed.
+
+    ``callback(it, basis, objective)`` sees the start (it = 0) and every
+    iterate after it.
     """
-    config = config if config is not None else SolverConfig(variant="irls")
-    _check_fit_args(data, k, norm, config, "irls")
+    _check_fit_args(data, k, norm, config)
     start = time.perf_counter()
+    step = _STEPS[config.variant](k)
     basis = _initial_basis(data, k, config)
     x = data.values
     w = basis.values
@@ -302,13 +226,8 @@ def fit_irls(
             converged = True
             break
         d = _weights_for(norm, resid, config.eps)
-        scatter = weighted_scatter(data, d)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            basis = top_r_eigvecs(scatter, k)
-        gap_events += sum(
-            1 for c in caught if issubclass(c.category, SpectrumGapWarning)
-        )
+        basis, gaps = step(w, weighted_scatter(data, d))
+        gap_events += gaps
         w = basis.values
         resid = x - w @ (w.T @ x)
         trace.append(_objective_from_residual(resid, norm))
@@ -318,18 +237,12 @@ def fit_irls(
         if check_convergence(trace, config.tol):
             converged = True
             break
-    return _result(basis, trace, iterations, converged, start, gap_events)
-
-
-_FITTERS = {"pgd": fit_pgd, "momentum": fit_momentum, "irls": fit_irls}
-
-
-def fit(
-    data: DataMatrix,
-    k: int,
-    norm: NormSpec,
-    config: SolverConfig,
-    callback: IterationCallback | None = None,
-) -> FitResult:
-    """Dispatch to the solver named by ``config.variant``."""
-    return _FITTERS[config.variant](data, k, norm, config, callback)
+    return FitResult(
+        projection=basis,
+        objective_trace=np.asarray(trace, dtype=float),
+        iterations=iterations,
+        converged=converged,
+        wall_time_ms=(time.perf_counter() - start) * 1000.0,
+        monotone_violations=count_monotone_violations(trace),
+        spectrum_gap_events=gap_events,
+    )

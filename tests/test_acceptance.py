@@ -24,7 +24,6 @@ from repca import (
     SolverConfig,
     SynthSpec,
     fit,
-    fit_pgd,
     gradient,
     objective_value,
     principal_angles,
@@ -139,7 +138,7 @@ def test_pgd_columnwise_objective_never_increases():
     for seed in range(50):
         data, k, p = _descent_instance(seed)
         config = SolverConfig(variant="pgd", max_iter=300, tol=1e-10)
-        result = fit_pgd(data, k, NormSpec.l2p(p), config)
+        result = fit(data, k, NormSpec.l2p(p), config)
         violations += result.monotone_violations
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed < 30.0
@@ -161,7 +160,7 @@ def test_pgd_elementwise_objective_never_increases():
     for seed in range(50):
         data, k, _ = _descent_instance(seed)
         config = SolverConfig(variant="pgd", max_iter=300, tol=1e-10)
-        result = fit_pgd(data, k, NormSpec.l1(), config)
+        result = fit(data, k, NormSpec.l1(), config)
         violations += result.monotone_violations
         seeds_hit += bool(result.monotone_violations)
     elapsed = time.perf_counter() - t0

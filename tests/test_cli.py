@@ -244,6 +244,33 @@ def test_rerun_malformed_manifest_exits_two(tmp_path, capsys, shape):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, key, value", (
+    ("synth", "m", "6"),
+    ("fit", "k", "2"),
+    ("fit", "tol", None),
+    ("fit", "input", 5),
+    ("fit", "input", None),
+    ("synth", "header", "yes"),
+    ("synth", "seed", True),
+))
+def test_rerun_wrong_config_type_exits_two(tmp_path, capsys, command, key, value):
+    synth_dir = _synth(tmp_path)
+    run_dir = synth_dir
+    if command == "fit":
+        run_dir = tmp_path / "fit"
+        assert main(["fit", "--input", str(synth_dir / "data.csv"), "--k", "2",
+                     "--out", str(run_dir)]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["config"][key] = value
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "y")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest config {key!r} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "y").exists()
+
+
 # ------------------------------------------------------------------ parsing
 
 

@@ -7,9 +7,7 @@ from repca import (
     InvalidSpec,
     NormSpec,
     Projection,
-    StepUndefined,
     gradient,
-    lipschitz_step,
     objective_value,
     residual,
     weighted_scatter,
@@ -229,18 +227,3 @@ def test_gradient_hand_value():
     np.testing.assert_allclose(d, [0.0, 1.0])
     g = gradient(data, E1, d, 2.0)
     np.testing.assert_allclose(g, [[0.0], [0.0]])
-
-
-# -------------------------------------------------------------------- steps
-
-
-def test_lipschitz_step_hand_value():
-    data = DataMatrix(np.eye(2))
-    assert lipschitz_step(data, np.ones(2), 2.0) == pytest.approx(0.5)
-    assert lipschitz_step(data, np.ones(2), 1.0) == pytest.approx(1.0)
-
-
-def test_lipschitz_step_zero_scatter_is_undefined():
-    data = DataMatrix(np.eye(2))
-    with pytest.raises(StepUndefined):
-        lipschitz_step(data, np.zeros(2), 2.0)

@@ -16,15 +16,11 @@ from repca import (
     check_convergence,
     count_monotone_violations,
     fit,
-    fit_irls,
-    fit_momentum,
-    fit_pgd,
     principal_angles,
     synth_subspace,
     vanilla_pca,
 )
-
-ALL_FITTERS = (fit_pgd, fit_momentum, fit_irls)
+from repca.solvers import VARIANTS
 
 
 def _instance(seed, m=12, n=90, k=3, noise=0.1, frac=0.0, scale=1.0):
@@ -51,39 +47,33 @@ def test_solver_config_validation():
         SolverConfig(init="warm")
 
 
-def test_fit_rejects_mismatched_variant():
-    data, _ = _instance(0)
-    with pytest.raises(InvalidSpec):
-        fit_pgd(data, 2, NormSpec.l1(), SolverConfig(variant="irls"))
-
-
 def test_fit_rejects_fro_norm():
     data, _ = _instance(0)
     with pytest.raises(InvalidSpec):
-        fit_pgd(data, 2, NormSpec.fro(), SolverConfig(variant="pgd"))
+        fit(data, 2, NormSpec.fro(), SolverConfig(variant="pgd"))
 
 
 def test_fit_rejects_uncentered_data():
     data = DataMatrix(np.random.default_rng(0).standard_normal((4, 20)) + 5.0)
     with pytest.raises(ValueError):
-        fit_pgd(data, 2, NormSpec.l1())
+        fit(data, 2, NormSpec.l1())
 
 
 def test_fit_rejects_bad_k():
     data, _ = _instance(0, m=5, n=40)
     with pytest.raises(DimensionMismatch):
-        fit_pgd(data, 0, NormSpec.l1())
+        fit(data, 0, NormSpec.l1())
     with pytest.raises(DimensionMismatch):
-        fit_pgd(data, 6, NormSpec.l1())
+        fit(data, 6, NormSpec.l1())
 
 
 def test_vanilla_init_needs_k_within_sample_count():
     data, _ = _instance(0, m=6, n=90, k=2)
     thin, _ = center_columns(DataMatrix(data.values[:, :4]))
     with pytest.raises(DimensionMismatch):
-        fit_pgd(thin, 5, NormSpec.l1())
+        fit(thin, 5, NormSpec.l1())
     # a random start has no such restriction as long as k <= m
-    out = fit_pgd(thin, 5, NormSpec.l1(), SolverConfig(init="random", max_iter=5))
+    out = fit(thin, 5, NormSpec.l1(), SolverConfig(init="random", max_iter=5))
     assert out.projection.k == 5
 
 
@@ -144,19 +134,9 @@ def test_vanilla_pca_requires_centered_input():
 # ---------------------------------------------------------------- fit paths
 
 
-def test_fit_dispatches_by_variant():
-    data, _ = _instance(3)
-    for variant, direct in (("pgd", fit_pgd), ("momentum", fit_momentum), ("irls", fit_irls)):
-        cfg = SolverConfig(variant=variant, max_iter=40)
-        via_fit = fit(data, 2, NormSpec.l1(), cfg)
-        again = direct(data, 2, NormSpec.l1(), cfg)
-        np.testing.assert_array_equal(via_fit.objective_trace, again.objective_trace)
-        np.testing.assert_array_equal(via_fit.projection.values, again.projection.values)
-
-
 def test_fit_is_deterministic_bit_for_bit():
     data, _ = _instance(4, frac=0.1, scale=4.0)
-    for variant in ("pgd", "momentum", "irls"):
+    for variant in VARIANTS:
         cfg = SolverConfig(variant=variant, max_iter=60)
         a = fit(data, 2, NormSpec.l2p(1.0), cfg)
         b = fit(data, 2, NormSpec.l2p(1.0), cfg)
@@ -169,9 +149,9 @@ def test_fit_is_deterministic_bit_for_bit():
 def test_random_init_is_seeded():
     data, _ = _instance(5)
     base = SolverConfig(init="random", seed=11, max_iter=30)
-    a = fit_pgd(data, 2, NormSpec.l1(), base)
-    b = fit_pgd(data, 2, NormSpec.l1(), base)
-    c = fit_pgd(data, 2, NormSpec.l1(), SolverConfig(init="random", seed=12, max_iter=30))
+    a = fit(data, 2, NormSpec.l1(), base)
+    b = fit(data, 2, NormSpec.l1(), base)
+    c = fit(data, 2, NormSpec.l1(), SolverConfig(init="random", seed=12, max_iter=30))
     np.testing.assert_array_equal(a.projection.values, b.projection.values)
     assert not np.array_equal(a.objective_trace[:1], c.objective_trace[:1])
 
@@ -182,28 +162,31 @@ def test_momentum_first_step_equals_plain_step():
     data, _ = _instance(6, frac=0.05, scale=3.0)
     one = SolverConfig(variant="pgd", max_iter=1, tol=0.0)
     one_m = SolverConfig(variant="momentum", max_iter=1, tol=0.0)
-    a = fit_pgd(data, 2, NormSpec.l1(), one)
-    b = fit_momentum(data, 2, NormSpec.l1(), one_m)
+    a = fit(data, 2, NormSpec.l1(), one)
+    b = fit(data, 2, NormSpec.l1(), one_m)
     np.testing.assert_array_equal(a.projection.values, b.projection.values)
     np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
 
 
 def test_callback_sees_every_iterate():
     data, _ = _instance(7)
-    seen = []
-    out = fit_pgd(data, 2, NormSpec.l1(), SolverConfig(max_iter=25),
+    for variant in VARIANTS:
+        seen = []
+        out = fit(data, 2, NormSpec.l1(), SolverConfig(variant=variant, max_iter=25),
                   callback=lambda it, basis, obj: seen.append((it, basis, obj)))
-    assert [it for it, _, _ in seen] == list(range(out.iterations + 1))
-    assert all(isinstance(basis, Projection) for _, basis, _ in seen)
-    np.testing.assert_array_equal([obj for _, _, obj in seen], out.objective_trace)
+        assert [it for it, _, _ in seen] == list(range(out.iterations + 1)), variant
+        assert all(isinstance(basis, Projection) for _, basis, _ in seen)
+        np.testing.assert_array_equal([obj for _, _, obj in seen], out.objective_trace)
+        assert seen[-1][1] is out.projection
 
 
 def test_result_trace_is_read_only():
     data, _ = _instance(8)
-    out = fit_pgd(data, 2, NormSpec.l1(), SolverConfig(max_iter=10))
-    with pytest.raises(ValueError):
-        out.objective_trace[0] = 0.0
-    assert out.wall_time_ms > 0.0
+    for variant in VARIANTS:
+        out = fit(data, 2, NormSpec.l1(), SolverConfig(variant=variant, max_iter=10))
+        with pytest.raises(ValueError):
+            out.objective_trace[0] = 0.0
+        assert out.wall_time_ms > 0.0
 
 
 # ----------------------------------------------------- descent and recovery
@@ -222,14 +205,14 @@ def test_pgd_columnwise_trace_never_increases():
                             frac=float(rng.uniform(0.0, 0.1)),
                             scale=float(rng.uniform(1.0, 5.0)))
         p = float(rng.uniform(0.5, 2.0))
-        out = fit_pgd(data, k, NormSpec.l2p(p), SolverConfig(max_iter=150, tol=1e-10))
+        out = fit(data, k, NormSpec.l2p(p), SolverConfig(variant="pgd", max_iter=150, tol=1e-10))
         assert out.monotone_violations == 0
 
 
 def test_solvers_converge_and_report_it():
     data, _ = _instance(10, noise=0.05)
-    for fitter, variant in zip(ALL_FITTERS, ("pgd", "momentum", "irls")):
-        out = fitter(data, 3, NormSpec.l1(), SolverConfig(variant=variant, max_iter=500))
+    for variant in VARIANTS:
+        out = fit(data, 3, NormSpec.l1(), SolverConfig(variant=variant, max_iter=500))
         assert out.converged
         assert out.iterations < 500
         assert len(out.objective_trace) == out.iterations + 1
@@ -238,8 +221,8 @@ def test_solvers_converge_and_report_it():
 def test_p2_reduces_to_vanilla_pca():
     data, _ = _instance(11, noise=0.3)
     van = vanilla_pca(data, 3)
-    for fitter, variant in zip(ALL_FITTERS, ("pgd", "momentum", "irls")):
-        out = fitter(data, 3, NormSpec.l2p(2.0), SolverConfig(variant=variant))
+    for variant in VARIANTS:
+        out = fit(data, 3, NormSpec.l2p(2.0), SolverConfig(variant=variant))
         assert out.converged
         assert out.iterations <= 3
         assert principal_angles(out.projection, van).max() < 1e-6
@@ -248,8 +231,8 @@ def test_p2_reduces_to_vanilla_pca():
 def test_zero_residual_converges_immediately():
     # rank-1 data fit with k = 1: nothing left to reduce
     data = DataMatrix(np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0]]), centered=True)
-    for fitter, variant in zip(ALL_FITTERS, ("pgd", "momentum", "irls")):
-        out = fitter(data, 1, NormSpec.l1(), SolverConfig(variant=variant))
+    for variant in VARIANTS:
+        out = fit(data, 1, NormSpec.l1(), SolverConfig(variant=variant))
         assert out.converged
         assert out.iterations == 0
         np.testing.assert_array_equal(out.objective_trace, [0.0])
@@ -257,13 +240,13 @@ def test_zero_residual_converges_immediately():
 
 def test_zero_residual_columnwise_loss_stays_at_zero():
     data = DataMatrix(np.array([[1.0, 0.0, -1.0], [0.0, 0.0, 0.0]]), centered=True)
-    out = fit_pgd(data, 1, NormSpec.l2p(1.0), SolverConfig(max_iter=50))
+    out = fit(data, 1, NormSpec.l2p(1.0), SolverConfig(max_iter=50))
     assert out.converged
     assert out.objective_trace[-1] == pytest.approx(0.0, abs=1e-12)
 
 
 ROBUST_NORMS = pytest.mark.parametrize("norm", (NormSpec.l1(), NormSpec.l2p(1.0)), ids=("l1", "l2p"))
-VARIANT_NAMES = pytest.mark.parametrize("variant", ("pgd", "momentum", "irls"))
+VARIANT_NAMES = pytest.mark.parametrize("variant", VARIANTS)
 
 
 def _centered(values):
@@ -301,7 +284,7 @@ _MOMENTUM_WIDE = pytest.mark.xfail(
     (case, variant) if (case, variant) != ("m_much_greater_than_n", "momentum")
     else pytest.param(case, variant, marks=_MOMENTUM_WIDE)
     for case in ("constant", "single_sample", "m_much_greater_than_n")
-    for variant in ("pgd", "momentum", "irls")
+    for variant in VARIANTS
 ])
 def test_degenerate_inputs_fit_cleanly(case, variant, norm):
     rng = np.random.default_rng(0)
@@ -328,7 +311,7 @@ def test_irls_counts_degenerate_spectra():
     data = DataMatrix(np.array([[1.0, 1.0, -1.0, -1.0],
                                 [1.0, -1.0, -1.0, 1.0]]), centered=True)
     with pytest.warns(SpectrumGapWarning):
-        out = fit_irls(data, 1, NormSpec.l1(), SolverConfig(variant="irls", max_iter=20))
+        out = fit(data, 1, NormSpec.l1(), SolverConfig(variant="irls", max_iter=20))
     assert out.spectrum_gap_events >= 1
     assert out.converged
 
@@ -336,6 +319,6 @@ def test_irls_counts_degenerate_spectra():
 def test_robust_fit_recovers_subspace_under_outliers():
     data, truth = _instance(12, m=10, n=150, k=2, noise=0.02, frac=0.1, scale=6.0)
     van_angle = principal_angles(vanilla_pca(data, 2), truth).max()
-    out = fit_irls(data, 2, NormSpec.l1(), SolverConfig(variant="irls"))
+    out = fit(data, 2, NormSpec.l1(), SolverConfig(variant="irls"))
     robust_angle = principal_angles(out.projection, truth).max()
     assert robust_angle < van_angle
