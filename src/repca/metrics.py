@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import DataMatrix, Projection
-from .objectives import NormSpec, residual
+from .objectives import NormSpec, column_stats, objective_from_stats, residual
 
 
 def principal_angles(basis_a: Projection, basis_b: Projection) -> np.ndarray:
@@ -63,16 +63,18 @@ def evaluate(
 
     All three reconstruction errors are always reported; ``norm`` only
     chooses the exponent of the l2,p field (losses without a p fall back
-    to p = 1).  Angles are present exactly when ``reference`` is given.
+    to p = 1).  Each error equals ``objective_value`` under its loss, bit
+    for bit, since both come from the same column sums of the residual.
+    Angles are present exactly when ``reference`` is given.
     """
-    resid = residual(data, basis)
-    col_norms = np.sqrt((resid * resid).sum(axis=0))
+    l1 = NormSpec.l1()
+    stats = column_stats(residual(data, basis), l1)
     p_used = norm.p if norm.kind == "l2p" else 1.0
     angles = principal_angles(basis, reference) if reference is not None else None
     return EvalReport(
-        error_fro2=float((resid * resid).sum()),
-        error_l1=float(np.abs(resid).sum()),
-        error_l2p=float((col_norms ** p_used).sum()),
+        error_fro2=objective_from_stats(stats, NormSpec.fro()),
+        error_l1=objective_from_stats(stats, l1),
+        error_l2p=objective_from_stats(stats, NormSpec.l2p(p_used)),
         l2p_exponent=float(p_used),
         angles_rad=angles,
         iterations=iterations,

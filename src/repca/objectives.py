@@ -6,10 +6,19 @@ nonnegative per-sample diagonal d turns the loss into the weighted
 quadratic tr(Y diag(d) Y^T), which the solvers can decrease with a fixed
 step.  ``objective_value`` always reports the true, unclamped loss; the
 clamp ``eps`` only guards the weight denominators.
+
+Every loss and every weight diagonal is computed from the residual's
+per-column sums, ``column_stats``: the sums of squares and, for l1, the
+sums of |Y|.  There is one formula per loss, shared by the objective,
+the weights, the solvers and ``metrics.evaluate``.  The
+reweighted scatter X diag(d) X^T is built as Z Z^T with
+Z = X diag(sqrt d), a symmetric rank-n update that is exactly symmetric.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +85,13 @@ def _check_pair(data: DataMatrix, basis: Projection) -> None:
         )
 
 
+def _project_out(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X - W (W^T X), written into the buffer that holds W (W^T X)."""
+    r = w @ (w.T @ x)
+    np.subtract(x, r, out=r)
+    return r
+
+
 def residual(data: DataMatrix, basis: Projection) -> np.ndarray:
     """Reconstruction residual X - W (W^T X).
 
@@ -83,9 +99,57 @@ def residual(data: DataMatrix, basis: Projection) -> np.ndarray:
     uncentered matrix mixes the mean into every column.
     """
     _check_pair(data, basis)
-    x = data.values
-    w = basis.values
-    return x - w @ (w.T @ x)
+    return _project_out(data.values, basis.values)
+
+
+class ColumnStats(NamedTuple):
+    """Per-column sums of a residual Y."""
+
+    sq: np.ndarray  # sum_j Y_ji^2, the squared column norms
+    abs: np.ndarray | None  # sum_j |Y_ji|; only the l1 loss needs it
+
+
+def _column_sums(y: np.ndarray, norm: NormSpec) -> ColumnStats:
+    # Takes |Y| in place, so that no m-by-n temporary is allocated: only
+    # for a float array the caller no longer needs.
+    sq = np.einsum("ij,ij->j", y, y)
+    return ColumnStats(sq, np.abs(y, out=y).sum(axis=0) if norm.kind == "l1" else None)
+
+
+def column_stats(resid: np.ndarray, norm: NormSpec) -> ColumnStats:
+    """The column sums every loss and weight of ``norm`` is computed from.
+
+    ``resid`` itself is left unchanged.
+    """
+    return _column_sums(np.array(resid, dtype=float), norm)
+
+
+def _basis_stats(x: np.ndarray, w: np.ndarray, norm: NormSpec) -> ColumnStats:
+    """``column_stats`` of X - W (W^T X), reduced in the residual's own buffer."""
+    return _column_sums(_project_out(x, w), norm)
+
+
+def objective_from_stats(stats: ColumnStats, norm: NormSpec) -> float:
+    """The loss: sum ||y_i||^2 (fro), sum |Y| (l1) or sum ||y_i||^p (l2p)."""
+    if norm.kind == "fro":
+        return float(stats.sq.sum())
+    if norm.kind == "l1":
+        return float(stats.abs.sum())
+    return float((np.sqrt(stats.sq) ** norm.p).sum())
+
+
+def weights_from_stats(stats: ColumnStats, norm: NormSpec, eps: float) -> np.ndarray:
+    """The reweighting diagonal of ``norm`` (see ``weights_l1``, ``weights_l2p``)."""
+    if norm.kind == "l1":
+        return stats.abs / np.maximum(stats.sq, eps * eps)
+    if norm.kind == "l2p":
+        return norm.p * np.maximum(np.sqrt(stats.sq), eps) ** (norm.p - 2.0)
+    raise InvalidSpec("the fro loss has a closed-form minimizer; no reweighting")
+
+
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise InvalidSpec(f"eps must be finite and positive, got {eps}")
 
 
 def weights_l1(resid: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
@@ -95,48 +159,48 @@ def weights_l1(resid: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
     tr(Y diag(d) Y^T) equal to ||Y||_1 exactly.  Columns with norm at most
     eps take the clamped denominator.
     """
-    if eps <= 0.0:
-        raise InvalidSpec(f"eps must be positive, got {eps}")
-    y = np.asarray(resid, dtype=float)
-    col_abs = np.abs(y).sum(axis=0)
-    col_sq = (y * y).sum(axis=0)
-    return col_abs / np.maximum(col_sq, eps * eps)
+    _check_eps(eps)
+    norm = NormSpec.l1()
+    return weights_from_stats(column_stats(resid, norm), norm, eps)
 
 
 def weights_l2p(resid: np.ndarray, p: float, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Per-sample diagonal p * max(||Y_i||_2, eps)^(p-2) for the l2,p loss."""
     if not 0.0 < p <= 2.0:
         raise InvalidSpec(f"p must be in (0, 2], got {p}")
-    if eps <= 0.0:
-        raise InvalidSpec(f"eps must be positive, got {eps}")
-    y = np.asarray(resid, dtype=float)
-    norms = np.sqrt((y * y).sum(axis=0))
-    return p * np.maximum(norms, eps) ** (p - 2.0)
+    _check_eps(eps)
+    norm = NormSpec.l2p(p)
+    return weights_from_stats(column_stats(resid, norm), norm, eps)
 
 
 def _objective_from_residual(resid: np.ndarray, norm: NormSpec) -> float:
-    if norm.kind == "fro":
-        return float((resid * resid).sum())
-    if norm.kind == "l1":
-        return float(np.abs(resid).sum())
-    col_norms = np.sqrt((resid * resid).sum(axis=0))
-    return float((col_norms ** norm.p).sum())
+    return objective_from_stats(column_stats(resid, norm), norm)
 
 
 def objective_value(data: DataMatrix, basis: Projection, norm: NormSpec) -> float:
     """True loss of reconstructing ``data`` through ``basis``.  Never clamped."""
-    return _objective_from_residual(residual(data, basis), norm)
+    _check_pair(data, basis)
+    return objective_from_stats(_basis_stats(data.values, basis.values, norm), norm)
 
 
 def weighted_scatter(data: DataMatrix, weights: np.ndarray) -> SymmetricMatrix:
-    """X diag(d) X^T, the reweighted sample scatter matrix."""
+    """X diag(d) X^T, the reweighted sample scatter matrix, for d >= 0.
+
+    Formed as Z Z^T with Z = X diag(sqrt d): numpy hands ``z @ z.T`` to
+    BLAS syrk, which computes one triangle (half the flops of a general
+    product) and mirrors it, so the result is exactly symmetric and
+    positive semidefinite up to rounding.
+    """
     x = data.values
     d = np.asarray(weights, dtype=float)
     if d.shape != (x.shape[1],):
         raise DimensionMismatch(
             f"weights must have one entry per sample ({x.shape[1]}), got shape {d.shape}"
         )
-    return SymmetricMatrix((x * d) @ x.T)
+    if not d.min() >= 0.0:
+        raise ValueError(f"weights must be nonnegative, got min {d.min()}")
+    z = x * np.sqrt(d)
+    return SymmetricMatrix(z @ z.T)
 
 
 def gradient(

@@ -4,7 +4,11 @@
 rebuilds the per-sample weight diagonal d from the current residual,
 forms the reweighted scatter M = X diag(d) X^T, and then takes one step
 that decreases the weighted quadratic tr(Y diag(d) Y^T) built around the
-current basis.  ``SolverConfig.variant`` picks only that step:
+current basis.  The m-by-n residual is formed once per round, in place,
+and reduced to the per-column sums of ``objectives.column_stats``; the
+objective, the weights and the span-floor norm below all follow from
+those.
+``SolverConfig.variant`` picks only that step:
 
 * ``pgd``       the gradient step W + M W / ||M||_2, retracted with the
                 nearest-orthonormal (Procrustes) projection.  The step
@@ -27,6 +31,7 @@ matrix vanishes and no step is defined.
 """
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -36,7 +41,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, SpectrumGapWarning
 from .linalg import DataMatrix, Projection, SymmetricMatrix, procrustes_project, top_r_eigvecs, spectral_norm
-from .objectives import NormSpec, _objective_from_residual, weighted_scatter, weights_l1, weights_l2p
+from .objectives import (
+    ColumnStats,
+    NormSpec,
+    _basis_stats,
+    _objective_from_residual,  # noqa: F401  (benchmarks/tracing.py wraps this name)
+    objective_from_stats,
+    weighted_scatter,
+    weights_from_stats,
+)
 
 MONOTONE_SLACK_RTOL = 1e-12
 # ||X - W W^T X||_F at or below this fraction of ||X||_F is rounding noise.
@@ -62,10 +75,10 @@ class SolverConfig:
             raise InvalidSpec(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.max_iter < 1:
             raise InvalidSpec(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.tol < 0.0:
-            raise InvalidSpec(f"tol must be nonnegative, got {self.tol}")
-        if self.eps <= 0.0:
-            raise InvalidSpec(f"eps must be positive, got {self.eps}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise InvalidSpec(f"tol must be finite and nonnegative, got {self.tol}")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise InvalidSpec(f"eps must be finite and positive, got {self.eps}")
         if self.init not in INITS:
             raise InvalidSpec(f"init must be one of {INITS}, got {self.init!r}")
 
@@ -144,10 +157,8 @@ def _initial_basis(data: DataMatrix, k: int, config: SolverConfig) -> Projection
     return procrustes_project(rng.standard_normal((data.n_features, k)))
 
 
-def _weights_for(norm: NormSpec, resid: np.ndarray, eps: float) -> np.ndarray:
-    if norm.kind == "l1":
-        return weights_l1(resid, eps)
-    return weights_l2p(resid, norm.p, eps)
+def _weights_for(norm: NormSpec, stats: ColumnStats, eps: float) -> np.ndarray:
+    return weights_from_stats(stats, norm, eps)
 
 
 # Each step factory returns step(w, scatter) -> (basis, spectrum gap events),
@@ -212,9 +223,8 @@ def fit(
     step = _STEPS[config.variant](k)
     basis = _initial_basis(data, k, config)
     x = data.values
-    w = basis.values
-    resid = x - w @ (w.T @ x)
-    trace = [_objective_from_residual(resid, norm)]
+    stats = _basis_stats(x, basis.values, norm)
+    trace = [objective_from_stats(stats, norm)]
     if callback is not None:
         callback(0, basis, trace[0])
     converged = False
@@ -222,19 +232,18 @@ def fit(
     gap_events = 0
     floor = SPAN_RTOL * np.linalg.norm(x)
     for it in range(1, config.max_iter + 1):
-        if np.linalg.norm(resid) <= floor:
+        if math.sqrt(stats.sq.sum()) <= floor:
             converged = True
             break
-        d = _weights_for(norm, resid, config.eps)
-        basis, gaps = step(w, weighted_scatter(data, d))
+        d = _weights_for(norm, stats, config.eps)
+        basis, gaps = step(basis.values, weighted_scatter(data, d))
         gap_events += gaps
-        w = basis.values
-        resid = x - w @ (w.T @ x)
-        trace.append(_objective_from_residual(resid, norm))
+        stats = _basis_stats(x, basis.values, norm)
+        trace.append(objective_from_stats(stats, norm))
         iterations = it
         if callback is not None:
             callback(it, basis, trace[-1])
-        if check_convergence(trace, config.tol):
+        if check_convergence(trace[-2:], config.tol):
             converged = True
             break
     return FitResult(

@@ -110,6 +110,17 @@ def test_fit_flag_validation(tmp_path):
     assert main(["fit", "--input", data, "--k", "0", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("flag", ("--tol", "--eps"))
+def test_fit_non_finite_setting_exits_two(tmp_path, capsys, flag):
+    synth_dir = _synth(tmp_path)
+    capsys.readouterr()
+    assert main(["fit", "--input", str(synth_dir / "data.csv"), "--k", "2",
+                 flag, "nan", "--out", str(tmp_path / "y")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "y").exists()
+
+
 def test_fit_runtime_failures_exit_one(tmp_path):
     out = str(tmp_path / "f")
     assert main(["fit", "--input", str(tmp_path / "missing.csv"),
@@ -268,6 +279,22 @@ def test_rerun_wrong_config_type_exits_two(tmp_path, capsys, command, key, value
     assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "y")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: manifest config {key!r} must be ") and err.count("\n") == 1
+    assert not (tmp_path / "y").exists()
+
+
+def test_rerun_non_finite_setting_exits_two(tmp_path, capsys):
+    synth_dir = _synth(tmp_path)
+    run_dir = tmp_path / "fit"
+    assert main(["fit", "--input", str(synth_dir / "data.csv"), "--k", "2",
+                 "--out", str(run_dir)]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["config"]["tol"] = float("nan")
+    path = tmp_path / "doctored.json"
+    path.write_text(json.dumps(manifest))  # json writes the bare token NaN
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "y")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "y").exists()
 
 

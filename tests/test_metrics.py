@@ -64,9 +64,9 @@ def test_evaluate_reports_all_three_errors():
     q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
     basis = Projection(q)
     report = evaluate(data, basis, norm=NormSpec.l2p(1.5))
-    assert report.error_fro2 == pytest.approx(objective_value(data, basis, NormSpec.fro()))
-    assert report.error_l1 == pytest.approx(objective_value(data, basis, NormSpec.l1()))
-    assert report.error_l2p == pytest.approx(objective_value(data, basis, NormSpec.l2p(1.5)))
+    assert report.error_fro2 == objective_value(data, basis, NormSpec.fro())
+    assert report.error_l1 == objective_value(data, basis, NormSpec.l1())
+    assert report.error_l2p == objective_value(data, basis, NormSpec.l2p(1.5))
     assert report.l2p_exponent == 1.5
     assert report.angles_rad is None
     assert report.max_angle_rad is None

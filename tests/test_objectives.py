@@ -14,6 +14,7 @@ from repca import (
     weights_l1,
     weights_l2p,
 )
+from repca.objectives import column_stats, objective_from_stats, weights_from_stats
 
 E1 = Projection(np.array([[1.0], [0.0]]))
 
@@ -161,12 +162,48 @@ def test_weighted_scatter_formula_and_psd():
     want = sum(d[i] * np.outer(x[:, i], x[:, i]) for i in range(12))
     np.testing.assert_allclose(scatter.values, want, atol=1e-12)
     assert np.linalg.eigvalsh(scatter.values).min() >= -1e-12
+    # Exactly symmetric, with some weights exactly zero, at several shapes.
+    for m, n in ((2, 5), (10, 200), (17, 31), (40, 9)):
+        x = rng.standard_normal((m, n))
+        d = rng.uniform(0.0, 3.0, size=n)
+        d[rng.permutation(n)[: n // 4]] = 0.0
+        m_d = weighted_scatter(DataMatrix(x), d).values
+        assert np.array_equal(m_d, m_d.T)
+        want = (x * d) @ x.T
+        assert np.linalg.norm(m_d - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.linalg.eigvalsh(m_d).min() >= -1e-12 * np.abs(m_d).max()
 
 
 def test_weighted_scatter_rejects_bad_weights():
     data = DataMatrix(np.ones((2, 3)))
     with pytest.raises(DimensionMismatch):
         weighted_scatter(data, np.ones(4))
+    for bad in (-1e-300, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            weighted_scatter(data, np.array([1.0, bad, 2.0]))
+
+
+def test_column_stats_match_textbook_losses_and_weights():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        r = rng.standard_normal((int(rng.integers(1, 30)), int(rng.integers(1, 60))))
+        r[:, 0] = 0.0  # one column at the eps clamp
+        eps = 1e-10
+        l1 = NormSpec.l1()
+        stats = column_stats(r, l1)
+        assert objective_from_stats(stats, l1) == pytest.approx(np.abs(r).sum(), rel=1e-14)
+        assert objective_from_stats(stats, NormSpec.fro()) == pytest.approx((r * r).sum(), rel=1e-14)
+        want = np.abs(r).sum(axis=0) / np.maximum((r * r).sum(axis=0), eps * eps)
+        np.testing.assert_allclose(weights_from_stats(stats, l1, eps), want, rtol=1e-14, atol=0)
+        for p in (0.5, 1.0, 1.5, 2.0):
+            norm = NormSpec.l2p(p)
+            stats = column_stats(r, norm)
+            col_norms = np.sqrt((r * r).sum(axis=0))
+            assert objective_from_stats(stats, norm) == pytest.approx((col_norms ** p).sum(), rel=1e-14)
+            want = p * np.maximum(col_norms, eps) ** (p - 2.0)
+            np.testing.assert_allclose(weights_from_stats(stats, norm, eps), want, rtol=1e-14, atol=0)
+    with pytest.raises(InvalidSpec):
+        weights_from_stats(stats, NormSpec.fro(), eps)
 
 
 # ---------------------------------------------------------------- gradients

@@ -16,6 +16,7 @@ from repca import (
     check_convergence,
     count_monotone_violations,
     fit,
+    objective_value,
     principal_angles,
     synth_subspace,
     vanilla_pca,
@@ -45,6 +46,15 @@ def test_solver_config_validation():
         SolverConfig(eps=0.0)
     with pytest.raises(InvalidSpec):
         SolverConfig(init="warm")
+
+
+@pytest.mark.parametrize("field, value", (
+    ("tol", float("nan")), ("tol", float("inf")),
+    ("eps", float("nan")), ("eps", float("inf")),
+))
+def test_solver_config_rejects_non_finite(field, value):
+    with pytest.raises(InvalidSpec, match=field):
+        SolverConfig(**{field: value})
 
 
 def test_fit_rejects_fro_norm():
@@ -144,6 +154,16 @@ def test_fit_is_deterministic_bit_for_bit():
         np.testing.assert_array_equal(a.projection.values, b.projection.values)
         assert a.iterations == b.iterations
         assert a.converged == b.converged
+
+
+def test_first_trace_entry_is_the_vanilla_objective():
+    data, _ = _instance(8, frac=0.1, scale=5.0)
+    vanilla = vanilla_pca(data, 3)
+    for norm in (NormSpec.l1(), NormSpec.l2p(1.0), NormSpec.l2p(0.5)):
+        want = objective_value(data, vanilla, norm)
+        for variant in VARIANTS:
+            result = fit(data, 3, norm, SolverConfig(variant=variant, max_iter=2))
+            assert result.objective_trace[0] == want, (variant, norm)
 
 
 def test_random_init_is_seeded():
