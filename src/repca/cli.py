@@ -1,12 +1,22 @@
 """Command-line interface: synth, fit, bench, rerun.
 
-Every command writes a ``manifest.json`` holding the fully resolved
-configuration, so ``repca rerun --manifest <path>`` reproduces the run.
-All numeric outputs are deterministic given the manifest; only the
-recorded wall times vary between runs.
+Each command turns its flags into one frozen job (``SynthJob``, ``FitJob``
+or ``BenchJob``) and hands it to that command's runner.  A job holds the
+library's own spec objects (``SynthSpec``, ``NormSpec``, ``SolverConfig``),
+whose constructors check every value; the job's ``__post_init__`` checks
+the few rules that span several flags, and ``_check_k`` checks k against
+the loaded data.
+
+Every command writes a ``manifest.json`` whose ``config`` is the job as
+nested JSON (``dataclasses.asdict``: ``spec``, ``norm``/``norms`` and
+``solver`` are objects of their own).  ``repca rerun --manifest <path>``
+rebuilds the same job from it, checking each value's JSON type against the
+field's annotation, so a rerun passes the same constructors and the same
+checks as the command did.  All numeric outputs are deterministic given
+the manifest; only the recorded wall times vary between runs.
 
 Exit codes: 0 on success, 1 on runtime or I/O failures (unreadable or
-malformed files), 2 on bad flags or flag combinations.
+malformed files), 2 on bad flags, flag combinations or manifests.
 """
 from __future__ import annotations
 
@@ -14,6 +24,10 @@ import argparse
 import json
 import sys
 import time
+import types
+import typing
+from collections import defaultdict
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +39,7 @@ from .errors import CsvParseError, InvalidSpec
 from .linalg import DataMatrix, Projection, center_columns
 from .metrics import evaluate
 from .objectives import NormSpec, objective_value
-from .solvers import INITS, VARIANTS, SolverConfig, fit, vanilla_pca
+from .solvers import INITS, VARIANTS, FitResult, SolverConfig, fit, vanilla_pca
 
 _EPILOG = """\
 file formats:
@@ -45,294 +59,294 @@ class UsageError(Exception):
     """Bad flag value or combination; maps to exit code 2."""
 
 
+# ----------------------------------------------------------------- jobs
+
+
+@dataclass(frozen=True)
+class SynthJob:
+    spec: SynthSpec
+    header: bool
+
+
+@dataclass(frozen=True)
+class FitJob:
+    input: str
+    k: int
+    norm: NormSpec
+    solver: SolverConfig
+    center: bool
+    header: bool
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise UsageError(f"k must be at least 1, got {self.k}")
+
+
+@dataclass(frozen=True)
+class BenchJob:
+    """Repeat i fits data drawn from ``spec`` with seed spec.seed + i, or the
+    ``input`` file every time, and seeds random inits with solver.seed + i.
+    Every variant runs, so ``solver.variant`` is not read."""
+
+    k: int
+    norms: tuple[NormSpec, ...]
+    repeats: int
+    solver: SolverConfig
+    spec: SynthSpec | None
+    input: str | None
+    w_true: str | None
+    center: bool
+    header: bool
+
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise UsageError(f"k must be at least 1, got {self.k}")
+        if self.repeats < 1:
+            raise UsageError(f"repeats must be at least 1, got {self.repeats}")
+        if (self.spec is None) == (self.input is None):
+            raise UsageError("bench takes exactly one of an input file and a synthesis spec")
+        if self.w_true is not None and self.input is None:
+            raise UsageError("--w-true needs --input")
+
+
+def _check_k(k: int, data: DataMatrix, square: bool) -> None:
+    """k is at most m, or min(m, n) when a vanilla PCA basis is needed."""
+    m, n = data.shape
+    bound = min(m, n) if square else m
+    if k > bound:
+        raise UsageError(f"k must be at most {'min(m, n)' if square else 'm'} = {bound} "
+                         f"for this input, got {k}")
+
+
+_JSON_NAMES = {int: "an integer", float: "a float such as 1.0", bool: "true or false", str: "a string"}
+
+
+def _from_json(hint, value, path: str = ""):
+    """Rebuild a value of type ``hint`` from the JSON ``asdict`` made of it.
+
+    A dataclass comes from an object holding exactly its fields,
+    ``X | None`` from null or an X, ``tuple[X, ...]`` from a list, and a
+    scalar from the JSON type ``json.dump`` writes for it (so a bool is not
+    an integer, nor an integer a float).  Constructors then check the
+    values themselves.
+    """
+    where = f"manifest config {path!r}" if path else "manifest config"
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise UsageError(f"{where} must be an object, got {json.dumps(value)}")
+        names = [f.name for f in fields(hint)]
+        unknown = sorted(set(value) - set(names))
+        if unknown:
+            raise UsageError(f"{where} has an unknown entry {unknown[0]!r}")
+        hints = typing.get_type_hints(hint)
+        args = {}
+        for name in names:
+            sub = f"{path}.{name}" if path else name
+            if name not in value:
+                raise UsageError(f"manifest config has no {sub!r} entry")
+            args[name] = _from_json(hints[name], value[name], sub)
+        return hint(**args)
+    origin = typing.get_origin(hint)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise UsageError(f"{where} must be a list, got {json.dumps(value)}")
+        item = typing.get_args(hint)[0]
+        return tuple(_from_json(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (inner,) = [a for a in typing.get_args(hint) if a is not type(None)]
+        return _from_json(inner, value, path)
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, hint):
+        raise UsageError(f"{where} must be {_JSON_NAMES[hint]}, got {json.dumps(value)}")
+    return value
+
+
+# --------------------------------------------------------------- output
+
+
 def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict, outputs: list[str]) -> None:
+def _write_manifest(out_dir: Path, command: str, job, inputs: dict, outputs: list[str]) -> None:
     _write_json(
         out_dir / "manifest.json",
         {
             "tool": "repca",
             "version": __version__,
             "command": command,
-            "config": config,
+            "config": asdict(job),
             "inputs": inputs,
-            "outputs": sorted(outputs),
-            "seed": config.get("seed"),
+            "outputs": sorted([*outputs, "manifest.json"]),
+            "seed": (job.spec if isinstance(job, SynthJob) else job.solver).seed,
         },
     )
 
 
-def _load_data(path: str, skip_header: bool, center: bool) -> DataMatrix:
-    arr = read_matrix_csv(path, skip_header=skip_header)
-    data = DataMatrix(arr.T, centered=False)
-    if center:
-        data, _ = center_columns(data)
-    else:
-        # the caller asserts the file is already centered; validate that
-        data = DataMatrix(arr.T, centered=True)
-    return data
+def _load_data(job: FitJob | BenchJob) -> DataMatrix:
+    arr = read_matrix_csv(job.input, skip_header=job.header)
+    if job.center:
+        data, _ = center_columns(DataMatrix(arr.T))
+        return data
+    # the caller asserts the file is already centered; DataMatrix verifies it
+    return DataMatrix(arr.T, centered=True)
 
 
-def _norm_spec(kind: str, p: float | None) -> NormSpec:
-    if kind == "l2p":
-        return NormSpec.l2p(p if p is not None else 1.0)
-    if kind == "l1":
-        return NormSpec.l1()
-    return NormSpec.fro()
+def _vanilla(data: DataMatrix, k: int) -> FitResult:
+    """Closed-form PCA, recorded like a fit that took no iterations."""
+    start = time.perf_counter()
+    basis = vanilla_pca(data, k)
+    wall_ms = (time.perf_counter() - start) * 1000.0
+    return FitResult(basis, [objective_value(data, basis, NormSpec.fro())], 0, True, wall_ms, 0)
 
 
-def _trace_record(solver: str, kind: str, p, trace, iterations, converged, violations, wall_ms) -> dict:
+def _trace_record(solver: str, norm: NormSpec, result: FitResult) -> dict:
     return {
         "solver": solver,
-        "norm": kind,
-        "p": None if p is None else float(p),
-        "objective": [float(v) for v in trace],
-        "iterations": int(iterations),
-        "converged": bool(converged),
-        "monotone_violations": int(violations),
-        "wall_time_ms": float(wall_ms),
+        "norm": norm.kind,
+        "p": norm.p,
+        "objective": [float(v) for v in result.objective_trace],
+        "iterations": int(result.iterations),
+        "converged": bool(result.converged),
+        "monotone_violations": int(result.monotone_violations),
+        "wall_time_ms": float(result.wall_time_ms),
     }
 
 
-def _report_record(solver: str, kind: str, p, report) -> dict:
-    return {
-        "solver": solver,
-        "norm": kind,
-        "p": None if p is None else float(p),
-        "error_fro2": report.error_fro2,
-        "error_l1": report.error_l1,
-        "error_l2p": report.error_l2p,
-        "l2p_exponent": report.l2p_exponent,
-        "angles_rad": None if report.angles_rad is None else [float(a) for a in report.angles_rad],
-        "max_angle_rad": report.max_angle_rad,
-        "iterations": report.iterations,
-        "wall_time_ms": report.wall_time_ms,
-    }
+def _report_record(solver: str, norm: NormSpec, report) -> dict:
+    angles = None if report.angles_rad is None else [float(a) for a in report.angles_rad]
+    return {"solver": solver, "norm": norm.kind, "p": norm.p, **asdict(report),
+            "angles_rad": angles, "max_angle_rad": report.max_angle_rad}
+
+
+# ---------------------------------------------------------------- flags
+
+
+def _synth_spec(ns: argparse.Namespace) -> SynthSpec:
+    return SynthSpec(
+        m=ns.m, n=ns.n, k_true=ns.k_true, noise_sigma=ns.noise,
+        outlier_frac=ns.outlier_frac, outlier_scale=ns.outlier_scale, seed=ns.seed,
+    )
+
+
+def _solver_config(ns: argparse.Namespace, variant: str) -> SolverConfig:
+    return SolverConfig(variant=variant, max_iter=ns.max_iter, tol=ns.tol,
+                        eps=ns.eps, init=ns.init, seed=ns.seed)
+
+
+def _norms(kinds: list[str], p: float | None) -> tuple[NormSpec, ...]:
+    """One NormSpec per distinct --norm.  --p is the l2p exponent (default
+    1); given without l2p it goes to every kind, and NormSpec rejects it."""
+    has_l2p = "l2p" in kinds
+    if has_l2p and p is None:
+        p = 1.0
+    return tuple(NormSpec(kind, p if kind == "l2p" or not has_l2p else None)
+                 for kind in dict.fromkeys(kinds))
+
+
+def _resolved(path: str | None) -> str | None:
+    return None if path is None else str(Path(path).resolve())
 
 
 # ---------------------------------------------------------------- synth
 
 
-def _run_synth(config: dict, out_dir: Path) -> int:
-    spec = SynthSpec(
-        m=config["m"],
-        n=config["n"],
-        k_true=config["k_true"],
-        noise_sigma=config["noise_sigma"],
-        outlier_frac=config["outlier_frac"],
-        outlier_scale=config["outlier_scale"],
-        seed=config["seed"],
-    )
+def _run_synth(job: SynthJob, out_dir: Path) -> int:
+    spec = job.spec
     data, basis, mask = synth_subspace(spec)
-    header = [f"f{i}" for i in range(spec.m)] if config["header"] else None
+    header = [f"f{i}" for i in range(spec.m)] if job.header else None
     out_dir.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out_dir / "data.csv", data.values.T, header=header)
     write_matrix_csv(out_dir / "w_true.csv", basis.values)
     write_mask_csv(out_dir / "outlier_mask.csv", mask)
-    _write_manifest(
-        out_dir, "synth", config, {},
-        ["data.csv", "w_true.csv", "outlier_mask.csv", "manifest.json"],
-    )
+    _write_manifest(out_dir, "synth", job, {}, ["data.csv", "w_true.csv", "outlier_mask.csv"])
     print(f"wrote {out_dir}/data.csv ({spec.n} samples x {spec.m} features, "
           f"{spec.outlier_count} outliers)")
     return 0
 
 
 def cmd_synth(ns: argparse.Namespace) -> int:
-    if ns.m < 1:
-        raise UsageError("--m must be at least 1")
-    if ns.n < 1:
-        raise UsageError("--n must be at least 1")
-    if not 1 <= ns.k_true <= ns.m:
-        raise UsageError("--k-true must be in [1, --m]")
-    if ns.noise < 0.0:
-        raise UsageError("--noise must be nonnegative")
-    if not 0.0 <= ns.outlier_frac < 1.0:
-        raise UsageError("--outlier-frac must be in [0, 1)")
-    if ns.outlier_scale <= 0.0:
-        raise UsageError("--outlier-scale must be positive")
-    config = {
-        "m": ns.m,
-        "n": ns.n,
-        "k_true": ns.k_true,
-        "noise_sigma": ns.noise,
-        "outlier_frac": ns.outlier_frac,
-        "outlier_scale": ns.outlier_scale,
-        "seed": ns.seed,
-        "header": ns.header,
-    }
-    return _run_synth(config, Path(ns.out))
+    return _run_synth(SynthJob(_synth_spec(ns), ns.header), Path(ns.out))
 
 
 # ------------------------------------------------------------------ fit
 
 
-def _run_fit(config: dict, out_dir: Path) -> int:
-    data = _load_data(config["input"], config["header"], config["center"])
-    m, n = data.shape
-    k = config["k"]
-    if not 1 <= k <= m:
-        raise UsageError(f"--k must be in [1, {m}] for this input, got {k}")
-    kind = config["norm"]
-    p = config["p"] if kind == "l2p" else None
-
-    if kind == "fro":
-        if k > min(m, n):
-            raise UsageError(f"--norm fro needs --k <= min(m, n) = {min(m, n)}")
-        start = time.perf_counter()
-        basis = vanilla_pca(data, k)
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        trace = [objective_value(data, basis, NormSpec.fro())]
-        record = _trace_record("vanilla", kind, None, trace, 0, True, 0, wall_ms)
+def _run_fit(job: FitJob, out_dir: Path) -> int:
+    data = _load_data(job)
+    closed_form = job.norm.kind == "fro"
+    _check_k(job.k, data, square=closed_form or job.solver.init == "vanilla")
+    if closed_form:
+        solver, result = "vanilla", _vanilla(data, job.k)
     else:
-        solver_cfg = SolverConfig(
-            variant=config["solver"],
-            max_iter=config["max_iter"],
-            tol=config["tol"],
-            eps=config["eps"],
-            init=config["init"],
-            seed=config["seed"],
-        )
-        if solver_cfg.init == "vanilla" and k > min(m, n):
-            raise UsageError(f"--init vanilla needs --k <= min(m, n) = {min(m, n)}")
-        result = fit(data, k, _norm_spec(kind, p), solver_cfg)
-        basis = result.projection
-        record = _trace_record(
-            config["solver"], kind, p, result.objective_trace,
-            result.iterations, result.converged, result.monotone_violations,
-            result.wall_time_ms,
-        )
+        solver, result = job.solver.variant, fit(data, job.k, job.norm, job.solver)
+    record = _trace_record(solver, job.norm, result)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(out_dir / "w.csv", basis.values)
+    write_matrix_csv(out_dir / "w.csv", result.projection.values)
     _write_json(out_dir / "trace.json", record)
-    _write_manifest(
-        out_dir, "fit", config, {"data": config["input"]},
-        ["w.csv", "trace.json", "manifest.json"],
-    )
-    print(f"wrote {out_dir}/w.csv ({m} x {k}); final objective "
+    _write_manifest(out_dir, "fit", job, {"data": job.input}, ["w.csv", "trace.json"])
+    print(f"wrote {out_dir}/w.csv ({data.shape[0]} x {job.k}); final objective "
           f"{record['objective'][-1]:.6g} after {record['iterations']} iterations")
     return 0
 
 
 def cmd_fit(ns: argparse.Namespace) -> int:
-    _check_norm_flags(ns)
-    if ns.k < 1:
-        raise UsageError("--k must be at least 1")
-    config = {
-        "input": str(Path(ns.input).resolve()),
-        "k": ns.k,
-        "norm": ns.norm,
-        "p": ns.p if ns.norm == "l2p" else None,
-        "solver": ns.solver,
-        "max_iter": ns.max_iter,
-        "tol": ns.tol,
-        "eps": ns.eps,
-        "init": ns.init,
-        "seed": ns.seed,
-        "center": not ns.no_center,
-        "header": ns.header,
-    }
-    return _run_fit(config, Path(ns.out))
-
-
-def _check_norm_flags(ns: argparse.Namespace) -> None:
-    if ns.p is not None:
-        kinds = ns.norm if isinstance(ns.norm, list) else [ns.norm]
-        if "l2p" not in kinds:
-            raise UsageError("--p is only meaningful with --norm l2p")
-        if not 0.0 < ns.p <= 2.0:
-            raise UsageError("--p must be in (0, 2]")
+    (norm,) = _norms([ns.norm], ns.p)
+    job = FitJob(
+        input=_resolved(ns.input), k=ns.k, norm=norm,
+        solver=_solver_config(ns, ns.solver),
+        center=not ns.no_center, header=ns.header,
+    )
+    return _run_fit(job, Path(ns.out))
 
 
 # ---------------------------------------------------------------- bench
 
 
-def _bench_once(data, reference, k, config, seed, repeat, traces, reports, rows, wins):
-    """One repeat: vanilla plus the three robust solvers per requested norm."""
-    start = time.perf_counter()
-    van = vanilla_pca(data, k)
-    van_wall = (time.perf_counter() - start) * 1000.0
-    van_obj = objective_value(data, van, NormSpec.fro())
-    ref = reference if reference is not None else van
-    van_report = evaluate(data, van, ref, NormSpec.fro(), iterations=0, wall_time_ms=van_wall)
-    traces.append({"repeat": repeat, **_trace_record("vanilla", "fro", None, [van_obj], 0, True, 0, van_wall)})
-    reports.append({"repeat": repeat, **_report_record("vanilla", "fro", None, van_report)})
-    rows[("vanilla", "fro", None)].append((van_obj, 0, van_wall, van_report.max_angle_rad))
-
-    for kind in config["norms"]:
-        p = config["p"] if kind == "l2p" else None
-        norm = _norm_spec(kind, p)
+def _bench_once(data: DataMatrix, reference, job: BenchJob, repeat: int) -> list[tuple]:
+    """One repeat: (solver, norm, result, report) for vanilla PCA, then for
+    each robust solver per requested norm.  Angles are measured to
+    ``reference``, or to the vanilla basis when there is none."""
+    fro = NormSpec.fro()
+    van = _vanilla(data, job.k)
+    ref = reference if reference is not None else van.projection
+    runs = [("vanilla", fro, van, evaluate(data, van.projection, ref, fro, iterations=0,
+                                           wall_time_ms=van.wall_time_ms))]
+    for norm in job.norms:
         for variant in VARIANTS:
-            solver_cfg = SolverConfig(
-                variant=variant,
-                max_iter=config["max_iter"],
-                tol=config["tol"],
-                eps=config["eps"],
-                init=config["init"],
-                seed=seed,
-            )
-            result = fit(data, k, norm, solver_cfg)
-            rep = evaluate(
-                data, result.projection, ref, norm,
-                iterations=result.iterations, wall_time_ms=result.wall_time_ms,
-            )
-            traces.append({
-                "repeat": repeat,
-                **_trace_record(variant, kind, p, result.objective_trace,
-                                result.iterations, result.converged,
-                                result.monotone_violations, result.wall_time_ms),
-            })
-            reports.append({"repeat": repeat, **_report_record(variant, kind, p, rep)})
-            rows[(variant, kind, p)].append(
-                (result.objective_trace[-1], result.iterations,
-                 result.wall_time_ms, rep.max_angle_rad)
-            )
-            if reference is not None and rep.max_angle_rad < van_report.max_angle_rad:
-                wins[f"{variant}:{kind}"] += 1
+            config = replace(job.solver, variant=variant, seed=job.solver.seed + repeat)
+            result = fit(data, job.k, norm, config)
+            rep = evaluate(data, result.projection, ref, norm,
+                           iterations=result.iterations, wall_time_ms=result.wall_time_ms)
+            runs.append((variant, norm, result, rep))
+    return runs
 
 
-def _run_bench(config: dict, out_dir: Path) -> int:
-    repeats = config["repeats"]
+def _run_bench(job: BenchJob, out_dir: Path) -> int:
     traces: list[dict] = []
     reports: list[dict] = []
-    rows: dict = {}
-    wins: dict = {}
-    rows[("vanilla", "fro", None)] = []
-    for kind in config["norms"]:
-        p = config["p"] if kind == "l2p" else None
-        for variant in VARIANTS:
-            rows[(variant, kind, p)] = []
-            wins[f"{variant}:{kind}"] = 0
-
-    external_reference = None
-    external_data = None
-    if config["input"] is not None:
-        external_data = _load_data(config["input"], config["header"], config["center"])
-        if config["w_true"] is not None:
-            external_reference = Projection(read_matrix_csv(config["w_true"]))
-
-    for repeat in range(repeats):
-        seed = config["seed"] + repeat
-        if config["input"] is None:
-            spec = SynthSpec(
-                m=config["m"], n=config["n"], k_true=config["k_true"],
-                noise_sigma=config["noise_sigma"],
-                outlier_frac=config["outlier_frac"],
-                outlier_scale=config["outlier_scale"],
-                seed=seed,
-            )
-            data, reference, _ = synth_subspace(spec)
-        else:
-            data, reference = external_data, external_reference
-        k = config["k"]
-        if not 1 <= k <= min(data.shape):
-            raise UsageError(f"--k must be in [1, min(m, n)] = [1, {min(data.shape)}]")
-        _bench_once(data, reference, k, config, seed, repeat, traces, reports, rows, wins)
+    rows: dict = defaultdict(list)
+    wins: dict = defaultdict(int)
+    if job.input is not None:
+        data = _load_data(job)
+        reference = None if job.w_true is None else Projection(read_matrix_csv(job.w_true))
+    for repeat in range(job.repeats):
+        if job.spec is not None:
+            data, reference, _ = synth_subspace(replace(job.spec, seed=job.spec.seed + repeat))
+        _check_k(job.k, data, square=True)
+        runs = _bench_once(data, reference, job, repeat)
+        van_angle = runs[0][3].max_angle_rad
+        for solver, norm, result, rep in runs:
+            traces.append({"repeat": repeat, **_trace_record(solver, norm, result)})
+            reports.append({"repeat": repeat, **_report_record(solver, norm, rep)})
+            rows[(solver, norm.kind, norm.p)].append(
+                (result.objective_trace[-1], result.iterations, result.wall_time_ms, rep.max_angle_rad))
+            if solver != "vanilla":
+                wins[f"{solver}:{norm.kind}"] += rep.max_angle_rad < van_angle
 
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "reports.json", reports)
@@ -352,123 +366,49 @@ def _run_bench(config: dict, out_dir: Path) -> int:
         ]))
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
-    outputs = ["reports.json", "traces.json", "summary.csv", "manifest.json"]
-    have_truth = config["input"] is None or config["w_true"] is not None
-    if have_truth:
-        fractions = {key: count / repeats for key, count in wins.items()}
+    outputs = ["reports.json", "traces.json", "summary.csv"]
+    if job.spec is not None or job.w_true is not None:
+        fractions = {key: count / job.repeats for key, count in wins.items()}
         _write_json(out_dir / "wins.json", {
-            "repeats": repeats,
+            "repeats": job.repeats,
             "reference": "w_true",
             "beats_vanilla_fraction": fractions,
         })
         outputs.append("wins.json")
         for key in sorted(fractions):
             print(f"{key} beats vanilla on angle to the true basis in "
-                  f"{fractions[key]:.0%} of {repeats} runs")
-    inputs = {}
-    if config["input"] is not None:
-        inputs["data"] = config["input"]
-    if config["w_true"] is not None:
-        inputs["w_true"] = config["w_true"]
-    _write_manifest(out_dir, "bench", config, inputs, outputs)
+                  f"{fractions[key]:.0%} of {job.repeats} runs")
+    inputs = {name: path for name, path in (("data", job.input), ("w_true", job.w_true))
+              if path is not None}
+    _write_manifest(out_dir, "bench", job, inputs, outputs)
     print(f"wrote {out_dir}/summary.csv")
     return 0
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
-    _check_norm_flags(ns)
-    if ns.repeats < 1:
-        raise UsageError("--repeats must be at least 1")
-    norms = ns.norm if ns.norm else ["l1"]
-    deduped = list(dict.fromkeys(norms))
+    spec = None
     if ns.input is None:
         for flag, value in (("--m", ns.m), ("--n", ns.n), ("--k-true", ns.k_true)):
             if value is None:
                 raise UsageError(f"{flag} is required when --input is not given")
-        if not 0.0 <= ns.outlier_frac < 1.0:
-            raise UsageError("--outlier-frac must be in [0, 1)")
-        if ns.outlier_scale <= 0.0:
-            raise UsageError("--outlier-scale must be positive")
-        if ns.noise < 0.0:
-            raise UsageError("--noise must be nonnegative")
-        k = ns.k if ns.k is not None else ns.k_true
-    else:
-        if ns.k is None:
-            raise UsageError("--k is required when --input is given")
-        k = ns.k
-    if k < 1:
-        raise UsageError("--k must be at least 1")
-    config = {
-        "input": None if ns.input is None else str(Path(ns.input).resolve()),
-        "w_true": None if ns.w_true is None else str(Path(ns.w_true).resolve()),
-        "m": ns.m,
-        "n": ns.n,
-        "k_true": ns.k_true,
-        "noise_sigma": ns.noise,
-        "outlier_frac": ns.outlier_frac,
-        "outlier_scale": ns.outlier_scale,
-        "k": k,
-        "norms": deduped,
-        "p": ns.p if "l2p" in deduped else None,
-        "repeats": ns.repeats,
-        "max_iter": ns.max_iter,
-        "tol": ns.tol,
-        "eps": ns.eps,
-        "init": ns.init,
-        "seed": ns.seed,
-        "center": not ns.no_center,
-        "header": ns.header,
-    }
-    if config["p"] is None and "l2p" in deduped:
-        config["p"] = 1.0
-    return _run_bench(config, Path(ns.out))
+        spec = _synth_spec(ns)
+    k = ns.k if ns.k is not None or spec is None else spec.k_true
+    if k is None:
+        raise UsageError("--k is required when --input is given")
+    job = BenchJob(
+        k=k, norms=_norms(ns.norm or ["l1"], ns.p), repeats=ns.repeats,
+        solver=_solver_config(ns, "pgd"), spec=spec,
+        input=_resolved(ns.input), w_true=_resolved(ns.w_true),
+        center=not ns.no_center, header=ns.header,
+    )
+    return _run_bench(job, Path(ns.out))
 
 
 # ---------------------------------------------------------------- rerun
 
-_RUNNERS = {"synth": _run_synth, "fit": _run_fit, "bench": _run_bench}
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-_STRING = ("a string", lambda v: isinstance(v, str))
-# What each config value must be, as the commands write it: (name, test).
-_CONFIG_TYPES = {
-    **dict.fromkeys(("m", "n", "k_true", "k", "seed", "repeats", "max_iter"), ("an integer", _is_int)),
-    **dict.fromkeys(("noise_sigma", "outlier_frac", "outlier_scale", "tol", "eps"), ("a number", _is_number)),
-    "p": ("a number or null", lambda v: v is None or _is_number(v)),
-    **dict.fromkeys(("header", "center"), ("true or false", lambda v: isinstance(v, bool))),
-    **dict.fromkeys(("norm", "solver", "init"), _STRING),
-    **dict.fromkeys(("input", "w_true"), ("a string or null", lambda v: v is None or isinstance(v, str))),
-    "norms": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+_COMMANDS = {
+    "synth": (SynthJob, _run_synth), "fit": (FitJob, _run_fit), "bench": (BenchJob, _run_bench),
 }
-# bench writes a null input when it synthesizes; fit always reads a file.
-_FIT_TYPES = {**_CONFIG_TYPES, "input": _STRING}
-
-
-class _ManifestConfig(dict):
-    """A manifest's config.  A key the runner reads is a usage error when it
-    is missing or holds another JSON type than the command writes."""
-
-    def __init__(self, config: dict, types: dict) -> None:
-        super().__init__(config)
-        self._types = types
-
-    def __missing__(self, key):
-        raise UsageError(f"manifest config has no {key!r} entry")
-
-    def __getitem__(self, key):
-        value = super().__getitem__(key)
-        name, ok = self._types[key]
-        if not ok(value):
-            raise UsageError(f"manifest config {key!r} must be {name}, got {json.dumps(value)}")
-        return value
 
 
 def cmd_rerun(ns: argparse.Namespace) -> int:
@@ -481,14 +421,12 @@ def cmd_rerun(ns: argparse.Namespace) -> int:
     if not isinstance(manifest, dict):
         raise UsageError("manifest must be a JSON object")
     command = manifest.get("command")
-    if command not in _RUNNERS:
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise UsageError(f"manifest names unknown command {command!r}")
-    config = manifest.get("config")
-    if not isinstance(config, dict):
-        raise UsageError("manifest has no config object")
+    job_type, run = _COMMANDS[command]
+    job = _from_json(job_type, manifest.get("config"))
     out_dir = Path(ns.out) if ns.out else manifest_path.resolve().parent
-    types = _FIT_TYPES if command == "fit" else _CONFIG_TYPES
-    return _RUNNERS[command](_ManifestConfig(config, types), out_dir)
+    return run(job, out_dir)
 
 
 # ----------------------------------------------------------------- main
@@ -552,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--repeats", type=int, default=1,
                        help="independent repeats; repeat i uses seed + i")
     _add_solver_flags(bench)
-    bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--no-center", action="store_true", dest="no_center")
     bench.add_argument("--header", action="store_true")
     bench.add_argument("--out", required=True)
@@ -575,9 +512,8 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
                     help="residual-norm clamp for the weight denominators (default 1e-10)")
     sp.add_argument("--init", choices=INITS, default="vanilla",
                     help="starting basis: vanilla PCA or a seeded random orthonormal matrix")
-    if sp.prog.endswith("fit"):
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for --init random")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for --init random (bench: and for synthesis; repeat i adds i)")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -35,12 +35,14 @@ class SynthSpec:
             raise InvalidSpec(f"n must be at least 1, got {self.n}")
         if not 1 <= self.k_true <= self.m:
             raise InvalidSpec(f"k_true must be in [1, m] = [1, {self.m}], got {self.k_true}")
-        if self.noise_sigma < 0.0:
-            raise InvalidSpec(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise InvalidSpec(f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}")
         if not 0.0 <= self.outlier_frac < 1.0:
             raise InvalidSpec(f"outlier_frac must be in [0, 1), got {self.outlier_frac}")
-        if self.outlier_scale <= 0.0:
-            raise InvalidSpec(f"outlier_scale must be positive, got {self.outlier_scale}")
+        if not (math.isfinite(self.outlier_scale) and self.outlier_scale > 0.0):
+            raise InvalidSpec(f"outlier_scale must be finite and positive, got {self.outlier_scale}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be nonnegative, got {self.seed}")
 
     @property
     def outlier_count(self) -> int:

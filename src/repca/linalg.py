@@ -1,9 +1,9 @@
 """Dense linear-algebra primitives shared by every solver.
 
-Everything here is pure and deterministic: input arrays are copied and
-frozen on construction, eigenvector signs follow a fixed convention, and
-spectra come from LAPACK's symmetric eigensolvers, so repeated runs of the
-same build produce identical bits.
+Everything here is pure and deterministic: input arrays are copied, in C
+(row-major) order, and frozen on construction, eigenvector signs follow a
+fixed convention, and spectra come from LAPACK's symmetric eigensolvers, so
+repeated runs of the same build produce identical bits.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ _SIGN_TOL = 1e-12
 
 
 def _frozen_matrix(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float, copy=True)
+    arr = np.array(values, dtype=float, copy=True, order="C")
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be a 2-d matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:

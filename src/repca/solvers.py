@@ -81,6 +81,8 @@ class SolverConfig:
             raise InvalidSpec(f"eps must be finite and positive, got {self.eps}")
         if self.init not in INITS:
             raise InvalidSpec(f"init must be one of {INITS}, got {self.init!r}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

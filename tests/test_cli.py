@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -17,6 +18,31 @@ def _synth(tmp_path, name="synth", extra=()):
     return out
 
 
+def _run_argv(command, synth_dir, out):
+    """A small, valid command line for ``command``."""
+    if command == "synth":
+        return ["synth", "--m", "6", "--n", "40", "--k-true", "2", "--seed", "3", "--out", str(out)]
+    if command == "fit":
+        return ["fit", "--input", str(synth_dir / "data.csv"), "--k", "2", "--out", str(out)]
+    return ["bench", "--m", "5", "--n", "30", "--k-true", "2", "--norm", "l1", "--norm", "l2p",
+            "--max-iter", "20", "--out", str(out)]
+
+
+def _usage_error(capsys, argv):
+    """Run ``argv``; it must exit 2 with one ``error:`` line."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def _set(tree, path, value):
+    for key in path[:-1]:
+        tree = tree[key]
+    tree[path[-1]] = value
+
+
 # -------------------------------------------------------------------- synth
 
 
@@ -32,7 +58,7 @@ def test_synth_writes_expected_files(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "synth"
     assert manifest["seed"] == 3
-    assert manifest["config"]["m"] == 6
+    assert manifest["config"]["spec"]["m"] == 6
     assert sorted(manifest["outputs"]) == manifest["outputs"]
 
 
@@ -259,6 +285,7 @@ def test_rerun_malformed_manifest_exits_two(tmp_path, capsys, shape):
     ("synth", "m", "6"),
     ("fit", "k", "2"),
     ("fit", "tol", None),
+    ("fit", "tol", 0),
     ("fit", "input", 5),
     ("fit", "input", None),
     ("synth", "header", "yes"),
@@ -271,14 +298,13 @@ def test_rerun_wrong_config_type_exits_two(tmp_path, capsys, command, key, value
         run_dir = tmp_path / "fit"
         assert main(["fit", "--input", str(synth_dir / "data.csv"), "--k", "2",
                      "--out", str(run_dir)]) == 0
+    path = {"m": "spec.m", "seed": "spec.seed", "tol": "solver.tol"}.get(key, key)
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    manifest["config"][key] = value
-    path = tmp_path / "doctored.json"
-    path.write_text(json.dumps(manifest))
-    capsys.readouterr()
-    assert main(["rerun", "--manifest", str(path), "--out", str(tmp_path / "y")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: manifest config {key!r} must be ") and err.count("\n") == 1
+    _set(manifest["config"], path.split("."), value)
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(manifest))
+    err = _usage_error(capsys, ["rerun", "--manifest", str(doctored), "--out", str(tmp_path / "y")])
+    assert err.startswith(f"error: manifest config {path!r} must be ")
     assert not (tmp_path / "y").exists()
 
 
@@ -288,7 +314,7 @@ def test_rerun_non_finite_setting_exits_two(tmp_path, capsys):
     assert main(["fit", "--input", str(synth_dir / "data.csv"), "--k", "2",
                  "--out", str(run_dir)]) == 0
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    manifest["config"]["tol"] = float("nan")
+    manifest["config"]["solver"]["tol"] = float("nan")
     path = tmp_path / "doctored.json"
     path.write_text(json.dumps(manifest))  # json writes the bare token NaN
     capsys.readouterr()
@@ -296,6 +322,127 @@ def test_rerun_non_finite_setting_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "y").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+# case: (command, flags that make it invalid or None, manifest config edits)
+USAGE_CASES = {
+    "bench_repeats_zero": ("bench", ["--repeats", "0"], {"repeats": 0}),
+    "fit_unknown_norm": ("fit", None, {"norm.kind": "bogus"}),
+    "bench_w_true_without_input": ("bench", ["--w-true", "w_true.csv"], {"w_true": "w_true.csv"}),
+    "fit_fro_bad_solver": ("fit", ["--norm", "fro", "--max-iter", "0", "--tol", "nan"],
+                           {"norm.kind": "fro", "solver.max_iter": 0, "solver.tol": NAN}),
+    "fit_negative_seed": ("fit", ["--init", "random", "--seed", "-1"],
+                          {"solver.init": "random", "solver.seed": -1}),
+    "synth_negative_seed": ("synth", ["--seed", "-1"], {"spec.seed": -1}),
+    "synth_nan_noise": ("synth", ["--noise", "nan"], {"spec.noise_sigma": NAN}),
+    "synth_inf_outlier_scale": ("synth", ["--outlier-frac", "0.1", "--outlier-scale", "inf"],
+                                {"spec.outlier_scale": INF}),
+    "synth_nan_outlier_scale": ("synth", ["--outlier-scale", "nan"], {"spec.outlier_scale": NAN}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_CASES))
+def test_usage_errors_exit_two_from_flags_and_manifest(tmp_path, capsys, case):
+    command, flags, edits = USAGE_CASES[case]
+    synth_dir = _synth(tmp_path)
+    run_dir = tmp_path / "run"
+    assert main(_run_argv(command, synth_dir, run_dir)) == 0
+    out = tmp_path / "y"
+    if flags is not None:
+        _usage_error(capsys, _run_argv(command, synth_dir, out) + flags)
+        assert not out.exists()
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    for path, value in edits.items():
+        _set(manifest["config"], path.split("."), value)
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(manifest))
+    err = _usage_error(capsys, ["rerun", "--manifest", str(doctored), "--out", str(out)])
+    assert not out.exists()
+    if case == "fit_unknown_norm":
+        assert "'bogus'" in err
+
+
+_SOLVER = {"variant": None, "max_iter": None, "tol": None, "eps": None, "init": None, "seed": None}
+_SPEC = {"m": None, "n": None, "k_true": None, "noise_sigma": None, "outlier_frac": None,
+         "outlier_scale": None, "seed": None}
+_NORM = {"kind": None, "p": None}
+CONFIG_LAYOUT = {
+    "synth": {"spec": _SPEC, "header": None},
+    "fit": {"input": None, "k": None, "norm": _NORM, "solver": _SOLVER, "center": None, "header": None},
+    "bench": {"k": None, "norms": [_NORM, _NORM], "repeats": None, "solver": _SOLVER,
+              "spec": _SPEC, "input": None, "w_true": None, "center": None, "header": None},
+}
+
+
+def _key_tree(value):
+    if isinstance(value, dict):
+        return {key: _key_tree(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_key_tree(v) for v in value]
+    return None
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_LAYOUT))
+def test_manifest_config_layout(tmp_path, command):
+    """The manifest is the job's asdict(); a field added to a spec
+    dataclass changes the file format and must show up here."""
+    synth_dir = _synth(tmp_path)
+    assert main(_run_argv(command, synth_dir, tmp_path / "run")) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert set(manifest) == {"tool", "version", "command", "config", "inputs", "outputs", "seed"}
+    assert _key_tree(manifest["config"]) == CONFIG_LAYOUT[command]
+
+
+@pytest.mark.parametrize("command", ("synth", "fit"))
+def test_rerun_rejects_the_flat_manifest_layout(tmp_path, capsys, command):
+    synth_dir = _synth(tmp_path)
+    config = {"m": 6, "n": 40, "k_true": 2, "noise_sigma": 0.05, "outlier_frac": 0.1,
+              "outlier_scale": 4.0, "seed": 3, "header": False}
+    if command == "fit":
+        config = {"input": str(synth_dir / "data.csv"), "k": 2, "norm": "l1", "p": None,
+                  "solver": "pgd", "max_iter": 500, "tol": 1e-8, "eps": 1e-10,
+                  "init": "vanilla", "seed": 0, "center": True, "header": False}
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"tool": "repca", "version": "0.1.0", "command": command,
+                                "config": config, "inputs": {}, "outputs": [], "seed": 0}))
+    _usage_error(capsys, ["rerun", "--manifest", str(path), "--out", str(tmp_path / "y")])
+    assert not (tmp_path / "y").exists()
+
+
+# No large integer: a doctored m or n must not allocate gigabytes.
+FUZZ_VALUES = (None, True, "x", -1, 0, 0.5, NAN, [], {})
+
+
+def _leaves(value, path=()):
+    if isinstance(value, dict):
+        for key, v in value.items():
+            yield from _leaves(v, path + (key,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, path + (i,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("command", ("synth", "fit", "bench"))
+def test_rerun_fuzzed_manifest_never_raises(tmp_path, capsys, command):
+    """Every leaf of a manifest, set to each odd JSON value, ends in exit
+    0, 1 or 2, and a failure prints exactly one error line."""
+    synth_dir = _synth(tmp_path)
+    assert main(_run_argv(command, synth_dir, tmp_path / "run")) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    doctored = tmp_path / "doctored.json"
+    for path in [("command",), *(("config",) + p for p in _leaves(manifest["config"]))]:
+        for value in FUZZ_VALUES:
+            changed = copy.deepcopy(manifest)
+            _set(changed, path, value)
+            doctored.write_text(json.dumps(changed))
+            capsys.readouterr()
+            code = main(["rerun", "--manifest", str(doctored), "--out", str(tmp_path / "y")])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (path, value)
+            assert code == 0 or (err.startswith("error: ") and err.count("\n") == 1), (path, value, err)
 
 
 # ------------------------------------------------------------------ parsing

@@ -21,6 +21,16 @@ def test_spec_validation_names_the_field():
         SynthSpec(m=5, n=10, k_true=0)
 
 
+@pytest.mark.parametrize("field, value", (
+    ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
+    ("outlier_scale", float("nan")), ("outlier_scale", float("inf")),
+    ("seed", -1),
+))
+def test_spec_rejects_non_finite_scales_and_negative_seeds(field, value):
+    with pytest.raises(InvalidSpec, match=field):
+        SynthSpec(m=5, n=10, k_true=2, outlier_frac=0.1, **{field: value})
+
+
 def test_outlier_count_floors():
     assert SynthSpec(m=3, n=99, k_true=1, outlier_frac=0.1).outlier_count == 9
     assert SynthSpec(m=3, n=10, k_true=1).outlier_count == 0

@@ -34,6 +34,13 @@ def test_data_matrix_copies_and_freezes():
         data.values[0, 0] = 7.0
 
 
+def test_data_matrix_copies_to_row_major_order():
+    x = np.arange(12.0).reshape(3, 4)
+    data = DataMatrix(np.asfortranarray(x))
+    assert data.values.flags.c_contiguous
+    np.testing.assert_array_equal(data.values, x)
+
+
 def test_data_matrix_rejects_bad_shapes():
     with pytest.raises(DimensionMismatch):
         DataMatrix(np.ones(3))

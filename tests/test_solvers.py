@@ -57,6 +57,12 @@ def test_solver_config_rejects_non_finite(field, value):
         SolverConfig(**{field: value})
 
 
+def test_solver_config_rejects_negative_seed():
+    SolverConfig(init="random", seed=0)
+    with pytest.raises(InvalidSpec, match="seed"):
+        SolverConfig(init="random", seed=-1)
+
+
 def test_fit_rejects_fro_norm():
     data, _ = _instance(0)
     with pytest.raises(InvalidSpec):
