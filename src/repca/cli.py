@@ -86,7 +86,8 @@ class FitJob:
 class BenchJob:
     """Repeat i fits data drawn from ``spec`` with seed spec.seed + i, or the
     ``input`` file every time, and seeds random inits with solver.seed + i.
-    Every variant runs, so ``solver.variant`` is not read."""
+    Every variant runs, so solver.variant stays "pgd"; with ``spec``, one
+    --seed sets both seeds, so they must agree."""
 
     k: int
     norms: tuple[NormSpec, ...]
@@ -103,6 +104,13 @@ class BenchJob:
             raise UsageError(f"k must be at least 1, got {self.k}")
         if self.repeats < 1:
             raise UsageError(f"repeats must be at least 1, got {self.repeats}")
+        if len({norm.kind for norm in self.norms}) < len(self.norms):
+            raise UsageError("bench takes each norm kind at most once")
+        if self.solver.variant != "pgd":
+            raise UsageError(f"bench runs every variant; solver.variant must be 'pgd', "
+                             f"got {self.solver.variant!r}")
+        if self.spec is not None and self.solver.seed != self.spec.seed:
+            raise UsageError(f"solver.seed must equal spec.seed {self.spec.seed}, got {self.solver.seed}")
         if (self.spec is None) == (self.input is None):
             raise UsageError("bench takes exactly one of an input file and a synthesis spec")
         if self.w_true is not None and self.input is None:
@@ -111,14 +119,12 @@ class BenchJob:
 
 def _check_k(k: int, data: DataMatrix, square: bool) -> None:
     """k is at most m, or min(m, n) when a vanilla PCA basis is needed."""
-    m, n = data.shape
-    bound = min(m, n) if square else m
+    bound, name = (min(data.shape), "min(m, n)") if square else (data.shape[0], "m")
     if k > bound:
-        raise UsageError(f"k must be at most {'min(m, n)' if square else 'm'} = {bound} "
-                         f"for this input, got {k}")
+        raise UsageError(f"k must be at most {name} = {bound} for this input, got {k}")
 
 
-_JSON_NAMES = {int: "an integer", float: "a float such as 1.0", bool: "true or false", str: "a string"}
+_JSON_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
 
 
 def _from_json(hint, value, path: str = ""):
@@ -126,9 +132,9 @@ def _from_json(hint, value, path: str = ""):
 
     A dataclass comes from an object holding exactly its fields,
     ``X | None`` from null or an X, ``tuple[X, ...]`` from a list, and a
-    scalar from the JSON type ``json.dump`` writes for it (so a bool is not
-    an integer, nor an integer a float).  Constructors then check the
-    values themselves.
+    scalar from the JSON type ``json.dump`` writes for it, except that a
+    float field also takes an integer (a bool is neither).  Constructors
+    then check the values themselves.
     """
     where = f"manifest config {path!r}" if path else "manifest config"
     if is_dataclass(hint):
@@ -157,6 +163,9 @@ def _from_json(hint, value, path: str = ""):
             return None
         (inner,) = [a for a in typing.get_args(hint) if a is not type(None)]
         return _from_json(inner, value, path)
+    if hint is float and type(value) is int:  # past the float range: inf, as json reads 1e400
+        big = abs(value) > sys.float_info.max
+        value = float(("-inf" if value < 0 else "inf") if big else value)
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, hint):
         raise UsageError(f"{where} must be {_JSON_NAMES[hint]}, got {json.dumps(value)}")
     return value
@@ -188,11 +197,8 @@ def _write_manifest(out_dir: Path, command: str, job, inputs: dict, outputs: lis
 
 def _load_data(job: FitJob | BenchJob) -> DataMatrix:
     arr = read_matrix_csv(job.input, skip_header=job.header)
-    if job.center:
-        data, _ = center_columns(DataMatrix(arr.T))
-        return data
-    # the caller asserts the file is already centered; DataMatrix verifies it
-    return DataMatrix(arr.T, centered=True)
+    # without centering, the caller asserts the file is centered; DataMatrix verifies it
+    return center_columns(DataMatrix(arr.T))[0] if job.center else DataMatrix(arr.T, centered=True)
 
 
 def _vanilla(data: DataMatrix, k: int) -> FitResult:
@@ -296,11 +302,8 @@ def _run_fit(job: FitJob, out_dir: Path) -> int:
 
 def cmd_fit(ns: argparse.Namespace) -> int:
     (norm,) = _norms([ns.norm], ns.p)
-    job = FitJob(
-        input=_resolved(ns.input), k=ns.k, norm=norm,
-        solver=_solver_config(ns, ns.solver),
-        center=not ns.no_center, header=ns.header,
-    )
+    job = FitJob(input=_resolved(ns.input), k=ns.k, norm=norm, solver=_solver_config(ns, ns.solver),
+                 center=not ns.no_center, header=ns.header)
     return _run_fit(job, Path(ns.out))
 
 
@@ -527,10 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CsvParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, RuntimeError) as exc:
+    except (CsvParseError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -285,7 +285,6 @@ def test_rerun_malformed_manifest_exits_two(tmp_path, capsys, shape):
     ("synth", "m", "6"),
     ("fit", "k", "2"),
     ("fit", "tol", None),
-    ("fit", "tol", 0),
     ("fit", "input", 5),
     ("fit", "input", None),
     ("synth", "header", "yes"),
@@ -339,6 +338,13 @@ USAGE_CASES = {
     "synth_inf_outlier_scale": ("synth", ["--outlier-frac", "0.1", "--outlier-scale", "inf"],
                                 {"spec.outlier_scale": INF}),
     "synth_nan_outlier_scale": ("synth", ["--outlier-scale", "nan"], {"spec.outlier_scale": NAN}),
+    # the flags cannot express these: they keep one kind per norm, run bench
+    # with variant pgd and give synthesis and solver the same --seed
+    "bench_repeated_norm_kind": ("bench", None, {"norms": [{"kind": "l2p", "p": 0.5},
+                                                           {"kind": "l2p", "p": 1.0}]}),
+    "bench_solver_variant": ("bench", None, {"solver.variant": "irls"}),
+    "bench_solver_seed_differs": ("bench", None, {"solver.seed": 1}),
+    "fit_huge_integer_tol": ("fit", None, {"solver.tol": 10 ** 400}),
 }
 
 
@@ -392,6 +398,25 @@ def test_manifest_config_layout(tmp_path, command):
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert set(manifest) == {"tool", "version", "command", "config", "inputs", "outputs", "seed"}
     assert _key_tree(manifest["config"]) == CONFIG_LAYOUT[command]
+    if command == "bench":  # pinned: bench runs every variant from one seed
+        config = manifest["config"]
+        assert config["solver"]["variant"] == "pgd"
+        assert config["solver"]["seed"] == config["spec"]["seed"] == 0
+
+
+def test_rerun_float_field_takes_an_integer(tmp_path):
+    """A hand edit may write 0 for 0.0; it reads as the float."""
+    synth_dir = _synth(tmp_path)
+    assert main(_run_argv("bench", synth_dir, tmp_path / "run")) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    manifest["config"]["solver"]["tol"] = 0
+    manifest["config"]["norms"][1]["p"] = 1
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(manifest))
+    assert main(["rerun", "--manifest", str(doctored), "--out", str(tmp_path / "y")]) == 0
+    config = json.loads((tmp_path / "y" / "manifest.json").read_text())["config"]
+    assert config["solver"]["tol"] == 0.0 and isinstance(config["solver"]["tol"], float)
+    assert config["norms"][1] == {"kind": "l2p", "p": 1.0}
 
 
 @pytest.mark.parametrize("command", ("synth", "fit"))
