@@ -20,33 +20,10 @@ from .errors import (
     RankDeficient,
     SpectrumGapWarning,
 )
-from .linalg import (
-    DataMatrix,
-    Projection,
-    SymmetricMatrix,
-    center_columns,
-    procrustes_project,
-    spectral_norm,
-    top_r_eigvecs,
-)
+from .linalg import DataMatrix, Projection, center_columns
 from .metrics import EvalReport, evaluate, principal_angles
-from .objectives import (
-    NormSpec,
-    gradient,
-    objective_value,
-    residual,
-    weighted_scatter,
-    weights_l1,
-    weights_l2p,
-)
-from .solvers import (
-    FitResult,
-    SolverConfig,
-    check_convergence,
-    count_monotone_violations,
-    fit,
-    vanilla_pca,
-)
+from .objectives import NormSpec, objective_value
+from .solvers import FitResult, SolverConfig, fit, vanilla_pca
 
 __version__ = "0.1.0"
 
@@ -62,24 +39,13 @@ __all__ = [
     "RankDeficient",
     "SolverConfig",
     "SpectrumGapWarning",
-    "SymmetricMatrix",
     "SynthSpec",
     "center_columns",
-    "check_convergence",
-    "count_monotone_violations",
     "evaluate",
     "fit",
-    "gradient",
     "objective_value",
     "principal_angles",
-    "procrustes_project",
-    "residual",
-    "spectral_norm",
     "synth_subspace",
-    "top_r_eigvecs",
     "vanilla_pca",
-    "weighted_scatter",
-    "weights_l1",
-    "weights_l2p",
     "__version__",
 ]

@@ -222,10 +222,11 @@ def _trace_record(solver: str, norm: NormSpec, result: FitResult) -> dict:
     }
 
 
-def _report_record(solver: str, norm: NormSpec, report) -> dict:
+def _report_record(solver: str, norm: NormSpec, result: FitResult, report) -> dict:
     angles = None if report.angles_rad is None else [float(a) for a in report.angles_rad]
     return {"solver": solver, "norm": norm.kind, "p": norm.p, **asdict(report),
-            "angles_rad": angles, "max_angle_rad": report.max_angle_rad}
+            "angles_rad": angles, "iterations": result.iterations,
+            "wall_time_ms": result.wall_time_ms, "max_angle_rad": report.max_angle_rad}
 
 
 # ---------------------------------------------------------------- flags
@@ -317,15 +318,12 @@ def _bench_once(data: DataMatrix, reference, job: BenchJob, repeat: int) -> list
     fro = NormSpec.fro()
     van = _vanilla(data, job.k)
     ref = reference if reference is not None else van.projection
-    runs = [("vanilla", fro, van, evaluate(data, van.projection, ref, fro, iterations=0,
-                                           wall_time_ms=van.wall_time_ms))]
+    runs = [("vanilla", fro, van, evaluate(data, van.projection, ref, fro))]
     for norm in job.norms:
         for variant in VARIANTS:
             config = replace(job.solver, variant=variant, seed=job.solver.seed + repeat)
             result = fit(data, job.k, norm, config)
-            rep = evaluate(data, result.projection, ref, norm,
-                           iterations=result.iterations, wall_time_ms=result.wall_time_ms)
-            runs.append((variant, norm, result, rep))
+            runs.append((variant, norm, result, evaluate(data, result.projection, ref, norm)))
     return runs
 
 
@@ -345,7 +343,7 @@ def _run_bench(job: BenchJob, out_dir: Path) -> int:
         van_angle = runs[0][3].max_angle_rad
         for solver, norm, result, rep in runs:
             traces.append({"repeat": repeat, **_trace_record(solver, norm, result)})
-            reports.append({"repeat": repeat, **_report_record(solver, norm, rep)})
+            reports.append({"repeat": repeat, **_report_record(solver, norm, result, rep)})
             rows[(solver, norm.kind, norm.p)].append(
                 (result.objective_trace[-1], result.iterations, result.wall_time_ms, rep.max_angle_rad))
             if solver != "vanilla":

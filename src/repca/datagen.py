@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, require_int
 from .linalg import DataMatrix, Projection, center_columns, procrustes_project
 
 
@@ -29,6 +29,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("m", "n", "k_true", "seed"):
+            require_int(name, getattr(self, name))
         if self.m < 1:
             raise InvalidSpec(f"m must be at least 1, got {self.m}")
         if self.n < 1:

@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types, and the integer check the spec classes share."""
+import numbers
 
 
 class DimensionMismatch(ValueError):
@@ -20,3 +21,10 @@ class CsvParseError(ValueError):
 class SpectrumGapWarning(RuntimeWarning):
     """The eigengap at the requested cut is so small that the returned
     subspace is not well determined."""
+
+
+def require_int(name: str, value) -> None:
+    """Raise InvalidSpec unless ``value`` is an integer: a Python or numpy
+    int, but not a float and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")

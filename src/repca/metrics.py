@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import DataMatrix, Projection
-from .objectives import NormSpec, column_stats, objective_from_stats, residual
+from .objectives import NormSpec, _basis_stats, _check_pair, objective_from_stats
 
 
 def principal_angles(basis_a: Projection, basis_b: Projection) -> np.ndarray:
@@ -27,16 +27,13 @@ def principal_angles(basis_a: Projection, basis_b: Projection) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Reconstruction errors under each loss, plus optional subspace angles
-    and solver bookkeeping carried through from a fit."""
+    """Reconstruction errors under each loss, plus optional subspace angles."""
 
     error_fro2: float
     error_l1: float
     error_l2p: float
     l2p_exponent: float
     angles_rad: np.ndarray | None = None
-    iterations: int | None = None
-    wall_time_ms: float | None = None
 
     def __post_init__(self) -> None:
         if self.angles_rad is not None:
@@ -56,8 +53,6 @@ def evaluate(
     basis: Projection,
     reference: Projection | None = None,
     norm: NormSpec = NormSpec.l1(),
-    iterations: int | None = None,
-    wall_time_ms: float | None = None,
 ) -> EvalReport:
     """Score ``basis`` on ``data``.
 
@@ -68,7 +63,8 @@ def evaluate(
     Angles are present exactly when ``reference`` is given.
     """
     l1 = NormSpec.l1()
-    stats = column_stats(residual(data, basis), l1)
+    _check_pair(data, basis)
+    stats = _basis_stats(data.values, basis.values, l1)
     p_used = norm.p if norm.kind == "l2p" else 1.0
     angles = principal_angles(basis, reference) if reference is not None else None
     return EvalReport(
@@ -77,6 +73,4 @@ def evaluate(
         error_l2p=objective_from_stats(stats, NormSpec.l2p(p_used)),
         l2p_exponent=float(p_used),
         angles_rad=angles,
-        iterations=iterations,
-        wall_time_ms=wall_time_ms,
     )

@@ -1,4 +1,4 @@
-"""Reconstruction losses, reweighting diagonals, and gradients.
+"""Reconstruction losses and reweighting diagonals.
 
 All three losses measure the same residual Y = X - W W^T X.  The robust
 ones (elementwise l1, columnwise l2,p) are handled by reweighting: a
@@ -63,19 +63,6 @@ class NormSpec:
     @classmethod
     def l2p(cls, p: float) -> "NormSpec":
         return cls("l2p", float(p))
-
-    @property
-    def gradient_factor(self) -> float:
-        """Scale s in the solver gradient -s * X diag(d) X^T W.
-
-        The l1 loss goes through its trace identity, which carries a factor
-        of 2 when differentiated; the l2,p loss is differentiated directly.
-        """
-        if self.kind == "l1":
-            return 2.0
-        if self.kind == "l2p":
-            return 1.0
-        raise InvalidSpec("the fro loss has a closed-form minimizer; no gradient factor")
 
 
 def _check_pair(data: DataMatrix, basis: Projection) -> None:
@@ -166,8 +153,6 @@ def weights_l1(resid: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
 
 def weights_l2p(resid: np.ndarray, p: float, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Per-sample diagonal p * max(||Y_i||_2, eps)^(p-2) for the l2,p loss."""
-    if not 0.0 < p <= 2.0:
-        raise InvalidSpec(f"p must be in (0, 2], got {p}")
     _check_eps(eps)
     norm = NormSpec.l2p(p)
     return weights_from_stats(column_stats(resid, norm), norm, eps)
@@ -201,26 +186,3 @@ def weighted_scatter(data: DataMatrix, weights: np.ndarray) -> SymmetricMatrix:
         raise ValueError(f"weights must be nonnegative, got min {d.min()}")
     z = x * np.sqrt(d)
     return SymmetricMatrix(z @ z.T)
-
-
-def gradient(
-    data: DataMatrix, basis: Projection, weights: np.ndarray, factor: float
-) -> np.ndarray:
-    """Reweighted-quadratic gradient -factor * X diag(d) X^T W.
-
-    Evaluated in factored form X (d * (X^T W)) so the m-by-m scatter matrix
-    is never built; the result matches the dense formula to rounding.
-    Along directions tangent to the orthonormality constraint this is the
-    slope of the weighted quadratic frozen at the current residual, which
-    for the columnwise l2,p loss (weights p * ||y_i||^(p-2)) coincides with
-    the derivative of the true loss wherever it is differentiable.
-    """
-    _check_pair(data, basis)
-    x = data.values
-    d = np.asarray(weights, dtype=float)
-    if d.shape != (x.shape[1],):
-        raise DimensionMismatch(
-            f"weights must have one entry per sample ({x.shape[1]}), got shape {d.shape}"
-        )
-    return -factor * (x @ (d[:, None] * (x.T @ basis.values)))
-

@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, SpectrumGapWarning
+from .errors import DimensionMismatch, InvalidSpec, SpectrumGapWarning, require_int
 from .linalg import DataMatrix, Projection, SymmetricMatrix, procrustes_project, top_r_eigvecs, spectral_norm
 from .objectives import (
     ColumnStats,
@@ -71,6 +71,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_int("max_iter", self.max_iter)
+        require_int("seed", self.seed)
         if self.variant not in VARIANTS:
             raise InvalidSpec(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.max_iter < 1:
@@ -143,6 +145,7 @@ def _check_fit_args(data: DataMatrix, k: int, norm: NormSpec, config: SolverConf
     if norm.kind not in ("l1", "l2p"):
         raise InvalidSpec(f"robust solvers take the l1 or l2p loss, got {norm.kind!r}")
     _require_centered(data)
+    require_int("k", k)
     m, n = data.shape
     if not 1 <= k <= m:
         raise DimensionMismatch(f"k must be in [1, {m}], got {k}")
@@ -152,11 +155,21 @@ def _check_fit_args(data: DataMatrix, k: int, norm: NormSpec, config: SolverConf
         )
 
 
-def _initial_basis(data: DataMatrix, k: int, config: SolverConfig) -> Projection:
+def _counting_gaps(eigensolve, *args) -> tuple[Projection, int]:
+    """``eigensolve(*args)`` and the number of SpectrumGapWarnings it raised,
+    counted instead of shown.  Other warnings meet the caller's filters: an
+    error filter still raises them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", SpectrumGapWarning)
+        basis = eigensolve(*args)
+    return basis, sum(issubclass(c.category, SpectrumGapWarning) for c in caught)
+
+
+def _initial_basis(data: DataMatrix, k: int, config: SolverConfig) -> tuple[Projection, int]:
     if config.init == "vanilla":
-        return vanilla_pca(data, k)
+        return _counting_gaps(vanilla_pca, data, k)
     rng = np.random.default_rng(config.seed)
-    return procrustes_project(rng.standard_normal((data.n_features, k)))
+    return procrustes_project(rng.standard_normal((data.n_features, k))), 0
 
 
 def _weights_for(norm: NormSpec, stats: ColumnStats, eps: float) -> np.ndarray:
@@ -188,10 +201,7 @@ def _momentum_step(k: int):
 
 def _irls_step(k: int):
     def step(w, scatter):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            basis = top_r_eigvecs(scatter, k)
-        return basis, sum(1 for c in caught if issubclass(c.category, SpectrumGapWarning))
+        return _counting_gaps(top_r_eigvecs, scatter, k)
     return step
 
 
@@ -215,7 +225,8 @@ def fit(
     non-increasing up to rounding; the elementwise loss enjoys no such
     bound and its trace can tick upward even though the overall trend
     still falls.  momentum and irls increases are counted in
-    ``monotone_violations``, not suppressed.
+    ``monotone_violations``, not suppressed.  A closed eigengap in the
+    vanilla start or an irls step is counted in ``spectrum_gap_events``.
 
     ``callback(it, basis, objective)`` sees the start (it = 0) and every
     iterate after it.
@@ -223,7 +234,7 @@ def fit(
     _check_fit_args(data, k, norm, config)
     start = time.perf_counter()
     step = _STEPS[config.variant](k)
-    basis = _initial_basis(data, k, config)
+    basis, gap_events = _initial_basis(data, k, config)
     x = data.values
     stats = _basis_stats(x, basis.values, norm)
     trace = [objective_from_stats(stats, norm)]
@@ -231,7 +242,6 @@ def fit(
         callback(0, basis, trace[0])
     converged = False
     iterations = 0
-    gap_events = 0
     floor = SPAN_RTOL * np.linalg.norm(x)
     for it in range(1, config.max_iter + 1):
         if math.sqrt(stats.sq.sum()) <= floor:

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,20 @@ def test_fit_l2p_records_exponent(tmp_path):
     trace = json.loads((out / "trace.json").read_text())
     assert trace["p"] == 1.5
     assert trace["solver"] == "irls"
+
+
+@pytest.mark.parametrize("rows", ("3.0,3.0,3.0\n" * 4, "1.0,-2.0,0.5\n"),
+                         ids=("constant", "single_sample"))
+def test_fit_degenerate_csv_keeps_stderr_empty(tmp_path, capsys, rows):
+    """Centered, both files are all zeros, so the vanilla start has no
+    eigengap; the fit counts that instead of printing a warning."""
+    path = tmp_path / "data.csv"
+    path.write_text(rows)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--input", str(path), "--k", "1", "--out", str(tmp_path / "fit")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_fit_flag_validation(tmp_path):

@@ -31,6 +31,20 @@ def test_spec_rejects_non_finite_scales_and_negative_seeds(field, value):
         SynthSpec(m=5, n=10, k_true=2, outlier_frac=0.1, **{field: value})
 
 
+@pytest.mark.parametrize("field, value", (
+    ("m", 5.0), ("m", True), ("n", 40.0), ("k_true", 2.0), ("seed", 1.5), ("seed", False),
+))
+def test_spec_counts_must_be_integers(field, value):
+    with pytest.raises(InvalidSpec, match=f"^{field} must be an integer"):
+        SynthSpec(**{"m": 5, "n": 40, "k_true": 2, field: value})
+
+
+def test_spec_accepts_numpy_integers():
+    spec = SynthSpec(m=np.int64(5), n=np.int32(40), k_true=np.int8(2), seed=np.uint16(3))
+    want = SynthSpec(m=5, n=40, k_true=2, seed=3)
+    assert np.array_equal(synth_subspace(spec)[0].values, synth_subspace(want)[0].values)
+
+
 def test_outlier_count_floors():
     assert SynthSpec(m=3, n=99, k_true=1, outlier_frac=0.1).outlier_count == 9
     assert SynthSpec(m=3, n=10, k_true=1).outlier_count == 0

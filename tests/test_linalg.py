@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from repca import (
-    DataMatrix,
-    DimensionMismatch,
-    Projection,
-    RankDeficient,
-    SpectrumGapWarning,
-    SymmetricMatrix,
-    center_columns,
-    procrustes_project,
-    spectral_norm,
-    top_r_eigvecs,
-)
+from repca import DataMatrix, DimensionMismatch, Projection, RankDeficient, SpectrumGapWarning, center_columns
+from repca.linalg import SymmetricMatrix, procrustes_project, spectral_norm, top_r_eigvecs
 
 # ---------------------------------------------------------------- wrappers
 

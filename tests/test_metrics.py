@@ -88,11 +88,8 @@ def test_evaluate_angles_against_reference():
     data = DataMatrix(rng.standard_normal((6, 30)))
     q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
     ref, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-    report = evaluate(data, Projection(q), Projection(ref),
-                      iterations=17, wall_time_ms=2.5)
+    report = evaluate(data, Projection(q), Projection(ref))
     assert report.angles_rad is not None
     assert report.max_angle_rad == pytest.approx(report.angles_rad[-1])
-    assert report.iterations == 17
-    assert report.wall_time_ms == 2.5
     with pytest.raises(ValueError):
         report.angles_rad[0] = 0.0

@@ -10,18 +10,15 @@ from repca import (
     NormSpec,
     Projection,
     SolverConfig,
-    SpectrumGapWarning,
     SynthSpec,
     center_columns,
-    check_convergence,
-    count_monotone_violations,
     fit,
     objective_value,
     principal_angles,
     synth_subspace,
     vanilla_pca,
 )
-from repca.solvers import VARIANTS
+from repca.solvers import VARIANTS, check_convergence, count_monotone_violations
 
 
 def _instance(seed, m=12, n=90, k=3, noise=0.1, frac=0.0, scale=1.0):
@@ -61,6 +58,27 @@ def test_solver_config_rejects_negative_seed():
     SolverConfig(init="random", seed=0)
     with pytest.raises(InvalidSpec, match="seed"):
         SolverConfig(init="random", seed=-1)
+
+
+@pytest.mark.parametrize("field, value", (
+    ("max_iter", 2.5), ("max_iter", True), ("seed", 1.5), ("seed", False),
+    ("k", 2.0), ("k", True),
+))
+def test_counts_must_be_integers(field, value):
+    """A float or a bool count fails up front, not deep inside numpy."""
+    data, _ = _instance(0)
+    counts = {"max_iter": 3, "seed": 1, "k": 2, field: value}
+    with pytest.raises(InvalidSpec, match=f"^{field} must be an integer"):
+        config = SolverConfig(init="random", max_iter=counts["max_iter"], seed=counts["seed"])
+        fit(data, counts["k"], NormSpec.l1(), config)
+
+
+def test_counts_accept_numpy_integers():
+    data, _ = _instance(0)
+    config = SolverConfig(init="random", max_iter=np.int64(3), seed=np.uint8(1))
+    out = fit(data, np.int32(2), NormSpec.l1(), config)
+    want = fit(data, 2, NormSpec.l1(), SolverConfig(init="random", max_iter=3, seed=1))
+    assert np.array_equal(out.projection.values, want.projection.values)
 
 
 def test_fit_rejects_fro_norm():
@@ -320,11 +338,9 @@ def test_degenerate_inputs_fit_cleanly(case, variant, norm):
         data, k = _centered(rng.standard_normal((5, 1))), 1
     else:
         data, k = _centered(rng.standard_normal((60, 8))), 3
-    with warnings.catch_warnings():
-        # centered constant or single-sample data is all zeros, so the
-        # vanilla start has no eigengap to cut at
-        warnings.simplefilter("ignore", SpectrumGapWarning)
-        out = fit(data, k, norm, SolverConfig(variant=variant))
+    # Centered constant or single-sample data is all zeros, so the vanilla
+    # start has no eigengap to cut at; the fit counts that instead of warning.
+    out = fit(data, k, norm, SolverConfig(variant=variant))
     w = out.projection.values
     assert np.all(np.isfinite(out.objective_trace))
     assert np.linalg.norm(w.T @ w - np.eye(k)) <= 1e-12
@@ -336,7 +352,8 @@ def test_irls_counts_degenerate_spectra():
     # first round is exactly isotropic, so the eigenvector cut is arbitrary
     data = DataMatrix(np.array([[1.0, 1.0, -1.0, -1.0],
                                 [1.0, -1.0, -1.0, 1.0]]), centered=True)
-    with pytest.warns(SpectrumGapWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # counted, so none escapes
         out = fit(data, 1, NormSpec.l1(), SolverConfig(variant="irls", max_iter=20))
     assert out.spectrum_gap_events >= 1
     assert out.converged
