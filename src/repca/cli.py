@@ -39,7 +39,7 @@ from .errors import CsvParseError, InvalidSpec
 from .linalg import DataMatrix, Projection, center_columns
 from .metrics import evaluate
 from .objectives import NormSpec, objective_value
-from .solvers import INITS, VARIANTS, FitResult, SolverConfig, fit, vanilla_pca
+from .solvers import INITS, VARIANTS, FitResult, SolverConfig, _counting_gaps, fit, vanilla_pca
 
 _EPILOG = """\
 file formats:
@@ -202,11 +202,12 @@ def _load_data(job: FitJob | BenchJob) -> DataMatrix:
 
 
 def _vanilla(data: DataMatrix, k: int) -> FitResult:
-    """Closed-form PCA, recorded like a fit that took no iterations."""
+    """Closed-form PCA, recorded like a fit that took no iterations.  A
+    closed eigengap is counted in ``spectrum_gap_events``, as ``fit`` does."""
     start = time.perf_counter()
-    basis = vanilla_pca(data, k)
+    basis, gaps = _counting_gaps(vanilla_pca, data, k)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return FitResult(basis, [objective_value(data, basis, NormSpec.fro())], 0, True, wall_ms, 0)
+    return FitResult(basis, [objective_value(data, basis, NormSpec.fro())], 0, True, wall_ms, 0, gaps)
 
 
 def _trace_record(solver: str, norm: NormSpec, result: FitResult) -> dict:

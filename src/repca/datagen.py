@@ -55,7 +55,7 @@ def _draw_raw(spec: SynthSpec) -> tuple[np.ndarray, Projection, np.ndarray]:
     """Uncentered draw.  Split out so tests can check the inlier columns
     lie exactly in span(W_true) before centering shifts them."""
     rng = np.random.default_rng(spec.seed)
-    basis = procrustes_project(rng.standard_normal((spec.m, spec.k_true)))
+    basis = Projection(procrustes_project(rng.standard_normal((spec.m, spec.k_true))))
     coeffs = rng.standard_normal((spec.k_true, spec.n))
     noise = rng.standard_normal((spec.m, spec.n))
     raw = basis.values @ coeffs + spec.noise_sigma * noise

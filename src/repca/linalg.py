@@ -1,9 +1,19 @@
 """Dense linear-algebra primitives shared by every solver.
 
-Everything here is pure and deterministic: input arrays are copied, in C
-(row-major) order, and frozen on construction, eigenvector signs follow a
-fixed convention, and spectra come from LAPACK's symmetric eigensolvers, so
+Everything here is pure and deterministic: eigenvector signs follow a
+fixed convention and spectra come from LAPACK's symmetric eigensolvers, so
 repeated runs of the same build produce identical bits.
+
+The types (``DataMatrix``, ``Projection``, ``SymmetricMatrix``) copy their
+input arrays, in C (row-major) order, check them and freeze them on
+construction: holding one is proof of its invariant.  The helpers the
+solver loop calls every round (``procrustes_project``, ``top_r_eigvecs``,
+``spectral_norm``) take and return plain ndarrays instead.  They keep the
+checks that can fail on a solver's intermediates (shape, rank, a cut out
+of range, non-finite entries) and skip the copy, the symmetry norm and the
+orthonormality check, which the caller vouches for: the loop hands them
+syrk products, exactly symmetric, and wraps its basis in a ``Projection``
+where it leaves the loop.
 """
 from __future__ import annotations
 
@@ -110,7 +120,10 @@ class Projection:
 class SymmetricMatrix:
     """Square symmetric matrix.  The input must already be symmetric to
     within 1e-12 relative Frobenius error; the stored copy is symmetrized
-    exactly so downstream eigendecompositions see clean input."""
+    exactly so downstream eigendecompositions see clean input.
+
+    No solver builds one: ``fit`` hands its exactly symmetric syrk
+    products to ``spectral_norm`` and ``top_r_eigvecs`` as plain arrays."""
 
     values: np.ndarray
 
@@ -146,12 +159,22 @@ def center_columns(data: DataMatrix) -> tuple[DataMatrix, np.ndarray]:
     return DataMatrix(shifted, centered=True), mean
 
 
-def procrustes_project(candidate: np.ndarray) -> Projection:
+def _square(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix contains non-finite entries")
+    return a
+
+
+def procrustes_project(candidate: np.ndarray) -> np.ndarray:
     """Nearest orthonormal matrix to ``candidate``: U V^T from its thin SVD.
 
     Among all orthonormal W this maximizes tr(W^T R), which is the
     retraction step every solver uses.  Raises RankDeficient when the
     smallest singular value is at or below 1e-12 times the largest.
+    Returns the array; wrap it in ``Projection`` to hold the proof.
     """
     arr = np.asarray(candidate, dtype=float)
     if arr.ndim != 2:
@@ -164,33 +187,34 @@ def procrustes_project(candidate: np.ndarray) -> Projection:
             f"matrix of shape {arr.shape} is rank deficient "
             f"(singular values span {s[-1]:.3e} .. {s[0]:.3e})"
         )
-    return Projection(u @ vt)
+    return u @ vt
 
 
 def _fix_column_signs(vecs: np.ndarray) -> np.ndarray:
     # Convention: the first entry of each column that clears the noise
-    # threshold is made nonnegative.
-    out = np.array(vecs, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        lead = np.nonzero(np.abs(col) > _SIGN_TOL)[0]
-        if lead.size and col[lead[0]] < 0:
-            out[:, j] = -col
-    return out
+    # threshold is made nonnegative.  The copy is C-ordered, as every other
+    # basis the loop holds is, so BLAS sees one layout whichever step ran.
+    big = np.abs(vecs) > _SIGN_TOL
+    lead = vecs[big.argmax(axis=0), np.arange(vecs.shape[1])]
+    flip = big.any(axis=0) & (lead < 0)
+    return np.ascontiguousarray(np.where(flip, -vecs, vecs))
 
 
-def top_r_eigvecs(matrix: SymmetricMatrix, r: int) -> Projection:
-    """Eigenvectors for the r largest eigenvalues, as a Projection.
+def top_r_eigvecs(matrix: np.ndarray, r: int) -> np.ndarray:
+    """Eigenvectors of the symmetric ``matrix`` for its r largest
+    eigenvalues, as an m-by-r array with orthonormal columns.
 
     Columns are ordered by descending eigenvalue and sign-fixed so the
-    result is deterministic.  When the eigengap at the cut is at or below
-    1e-10 * |largest eigenvalue| a SpectrumGapWarning is emitted because
-    the subspace is then numerically arbitrary.
+    result is deterministic.  Only the lower triangle is read, so the
+    caller supplies a symmetric matrix.  When the eigengap at the cut is at
+    or below 1e-10 * |largest eigenvalue| a SpectrumGapWarning is emitted
+    because the subspace is then numerically arbitrary.
     """
-    m = matrix.n
+    a = _square(matrix)
+    m = a.shape[0]
     if not 1 <= r <= m:
         raise DimensionMismatch(f"r must be in [1, {m}], got {r}")
-    vals, vecs = np.linalg.eigh(matrix.values)
+    vals, vecs = np.linalg.eigh(a)
     vals = vals[::-1]
     vecs = vecs[:, ::-1]
     if r < m and (vals[r - 1] - vals[r]) <= SPECTRUM_GAP_RTOL * abs(vals[0]):
@@ -200,17 +224,17 @@ def top_r_eigvecs(matrix: SymmetricMatrix, r: int) -> Projection:
             SpectrumGapWarning,
             stacklevel=2,
         )
-    return Projection(_fix_column_signs(vecs[:, :r]))
+    return _fix_column_signs(vecs[:, :r])
 
 
-def spectral_norm(matrix: SymmetricMatrix) -> float:
-    """Largest absolute eigenvalue, max |eigvalsh(A)|.
+def spectral_norm(matrix: np.ndarray) -> float:
+    """Largest absolute eigenvalue of the symmetric ``matrix``, max |eigvalsh(A)|.
 
     The solvers call this on the small m-by-m scatter matrix, where one
     LAPACK eigenvalue call is accurate to rounding and cheaper than an
     iterative estimate.  A zero matrix returns 0.0 without a decomposition.
     """
-    a = matrix.values
+    a = _square(matrix)
     if not a.any():
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvalsh(a))))

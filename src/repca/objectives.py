@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec
-from .linalg import DataMatrix, Projection, SymmetricMatrix
+from .linalg import DataMatrix, Projection
 
 DEFAULT_EPS = 1e-10
 
@@ -168,13 +168,14 @@ def objective_value(data: DataMatrix, basis: Projection, norm: NormSpec) -> floa
     return objective_from_stats(_basis_stats(data.values, basis.values, norm), norm)
 
 
-def weighted_scatter(data: DataMatrix, weights: np.ndarray) -> SymmetricMatrix:
+def weighted_scatter(data: DataMatrix, weights: np.ndarray) -> np.ndarray:
     """X diag(d) X^T, the reweighted sample scatter matrix, for d >= 0.
 
     Formed as Z Z^T with Z = X diag(sqrt d): numpy hands ``z @ z.T`` to
     BLAS syrk, which computes one triangle (half the flops of a general
-    product) and mirrors it, so the result is exactly symmetric and
-    positive semidefinite up to rounding.
+    product) and mirrors it, so the returned array is exactly symmetric
+    and positive semidefinite up to rounding.  Entries that overflow are
+    left as inf for ``spectral_norm`` or ``top_r_eigvecs`` to reject.
     """
     x = data.values
     d = np.asarray(weights, dtype=float)
@@ -185,4 +186,4 @@ def weighted_scatter(data: DataMatrix, weights: np.ndarray) -> SymmetricMatrix:
     if not d.min() >= 0.0:
         raise ValueError(f"weights must be nonnegative, got min {d.min()}")
     z = x * np.sqrt(d)
-    return SymmetricMatrix(z @ z.T)
+    return z @ z.T

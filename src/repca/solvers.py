@@ -7,7 +7,10 @@ that decreases the weighted quadratic tr(Y diag(d) Y^T) built around the
 current basis.  The m-by-n residual is formed once per round, in place,
 and reduced to the per-column sums of ``objectives.column_stats``; the
 objective, the weights and the span-floor norm below all follow from
-those.
+those.  Values are checked where they enter and leave: ``fit`` takes a
+checked ``DataMatrix``, rejects data whose squared Frobenius norm
+overflows, and runs its rounds on plain arrays, building a ``Projection``
+for the result (and, per round, only for a callback).
 ``SolverConfig.variant`` picks only that step:
 
 * ``pgd``       the gradient step W + M W / ||M||_2, retracted with the
@@ -40,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, SpectrumGapWarning, require_int
-from .linalg import DataMatrix, Projection, SymmetricMatrix, procrustes_project, top_r_eigvecs, spectral_norm
+from .linalg import DataMatrix, Projection, procrustes_project, top_r_eigvecs, spectral_norm
 from .objectives import (
     ColumnStats,
     NormSpec,
@@ -109,12 +112,11 @@ def check_convergence(trace, tol: float) -> bool:
     The comparison is |J_last - J_prev| <= tol * max(|J_prev|, 1e-30); the
     floor only keeps an exactly-zero objective from dividing by zero.
     """
-    arr = np.asarray(trace, dtype=float)
-    if arr.size == 0:
+    if len(trace) == 0:
         raise ValueError("trace must be nonempty")
-    if arr.size < 2:
+    if len(trace) < 2:
         return False
-    prev, last = float(arr[-2]), float(arr[-1])
+    prev, last = float(trace[-2]), float(trace[-1])
     return abs(last - prev) <= tol * max(abs(prev), 1e-30)
 
 
@@ -133,7 +135,7 @@ def vanilla_pca(data: DataMatrix, k: int) -> Projection:
     m, n = data.shape
     if not 1 <= k <= min(m, n):
         raise DimensionMismatch(f"k must be in [1, min(m, n)] = [1, {min(m, n)}], got {k}")
-    return top_r_eigvecs(SymmetricMatrix(data.values @ data.values.T), k)
+    return Projection(top_r_eigvecs(data.values @ data.values.T, k))
 
 
 def _require_centered(data: DataMatrix) -> None:
@@ -155,7 +157,19 @@ def _check_fit_args(data: DataMatrix, k: int, norm: NormSpec, config: SolverConf
         )
 
 
-def _counting_gaps(eigensolve, *args) -> tuple[Projection, int]:
+def _frobenius_norm(x: np.ndarray) -> float:
+    """||X||_F, computed as np.linalg.norm does.  Raises ValueError when
+    ||X||_F^2 overflows: the span test and the scatter of such data are not
+    finite."""
+    flat = x.ravel()
+    with np.errstate(over="ignore"):
+        sq = float(flat.dot(flat))
+    if not math.isfinite(sq):
+        raise ValueError("data too large: its squared Frobenius norm overflows; rescale it")
+    return math.sqrt(sq)
+
+
+def _counting_gaps(eigensolve, *args):
     """``eigensolve(*args)`` and the number of SpectrumGapWarnings it raised,
     counted instead of shown.  Other warnings meet the caller's filters: an
     error filter still raises them."""
@@ -169,19 +183,20 @@ def _initial_basis(data: DataMatrix, k: int, config: SolverConfig) -> tuple[Proj
     if config.init == "vanilla":
         return _counting_gaps(vanilla_pca, data, k)
     rng = np.random.default_rng(config.seed)
-    return procrustes_project(rng.standard_normal((data.n_features, k))), 0
+    return Projection(procrustes_project(rng.standard_normal((data.n_features, k)))), 0
 
 
 def _weights_for(norm: NormSpec, stats: ColumnStats, eps: float) -> np.ndarray:
     return weights_from_stats(stats, norm, eps)
 
 
-# Each step factory returns step(w, scatter) -> (basis, spectrum gap events),
-# holding whatever state its variant carries from one round to the next.
+# Each step factory returns step(w, scatter) -> (next w, spectrum gap events)
+# on plain arrays, holding whatever state its variant carries from one round
+# to the next.
 
 def _pgd_step(k: int):
     def step(w, scatter):
-        return procrustes_project(w + (scatter.values @ w) / spectral_norm(scatter)), 0
+        return procrustes_project(w + (scatter @ w) / spectral_norm(scatter)), 0
     return step
 
 
@@ -195,7 +210,7 @@ def _momentum_step(k: int):
         top = spectral_norm(scatter)
         v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
         w_old, s = w, s + 1
-        return procrustes_project(v + (scatter.values @ v) / top), 0
+        return procrustes_project(v + (scatter @ v) / top), 0
     return step
 
 
@@ -233,31 +248,35 @@ def fit(
     """
     _check_fit_args(data, k, norm, config)
     start = time.perf_counter()
+    x = data.values
+    floor = SPAN_RTOL * _frobenius_norm(x)
     step = _STEPS[config.variant](k)
     basis, gap_events = _initial_basis(data, k, config)
-    x = data.values
-    stats = _basis_stats(x, basis.values, norm)
+    w = basis.values
+    stats = _basis_stats(x, w, norm)
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
         callback(0, basis, trace[0])
     converged = False
     iterations = 0
-    floor = SPAN_RTOL * np.linalg.norm(x)
     for it in range(1, config.max_iter + 1):
         if math.sqrt(stats.sq.sum()) <= floor:
             converged = True
             break
         d = _weights_for(norm, stats, config.eps)
-        basis, gaps = step(basis.values, weighted_scatter(data, d))
+        w, gaps = step(w, weighted_scatter(data, d))
         gap_events += gaps
-        stats = _basis_stats(x, basis.values, norm)
+        stats = _basis_stats(x, w, norm)
         trace.append(objective_from_stats(stats, norm))
         iterations = it
         if callback is not None:
+            basis = Projection(w)
             callback(it, basis, trace[-1])
-        if check_convergence(trace[-2:], config.tol):
+        if check_convergence(trace, config.tol):
             converged = True
             break
+    if iterations and callback is None:
+        basis = Projection(w)
     return FitResult(
         projection=basis,
         objective_trace=np.asarray(trace, dtype=float),

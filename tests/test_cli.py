@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repca.cli import SUMMARY_HEADER, main
+from repca import DataMatrix, center_columns
+from repca.cli import SUMMARY_HEADER, _vanilla, main
 from repca.csvio import read_matrix_csv, write_matrix_csv
 
 
@@ -129,14 +130,36 @@ def test_fit_l2p_records_exponent(tmp_path):
                          ids=("constant", "single_sample"))
 def test_fit_degenerate_csv_keeps_stderr_empty(tmp_path, capsys, rows):
     """Centered, both files are all zeros, so the vanilla start has no
-    eigengap; the fit counts that instead of printing a warning."""
+    eigengap; the fit counts that instead of printing a warning.  So do
+    the closed-form fro fit and bench's vanilla baseline."""
     path = tmp_path / "data.csv"
     path.write_text(rows)
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["fit", "--input", str(path), "--k", "1", "--out", str(tmp_path / "fit")]) == 0
-    assert capsys.readouterr().err == ""
+    for command, *flags in (("fit",), ("fit", "--norm", "fro"), ("bench",)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--input", str(path), "--k", "1", *flags,
+                         "--out", str(tmp_path / "_".join((command, *flags)))]) == 0
+        assert capsys.readouterr().err == "", (command, *flags)
+
+
+def test_vanilla_baseline_counts_the_closed_gap():
+    data = center_columns(DataMatrix(np.full((3, 3), 3.0)))[0]
+    assert _vanilla(data, 1).spectrum_gap_events == 1
+
+
+def test_fit_overflowing_csv_exits_one(tmp_path, capsys):
+    """Data whose squared norm overflows is refused with one error line
+    for either start; a random start used to exit 0, "converged"."""
+    path = tmp_path / "big.csv"
+    path.write_text("1e160,-1e160\n-1e160,1e160\n1e160,1e160\n-1e160,-1e160\n")
+    capsys.readouterr()
+    for init in ("random", "vanilla"):
+        assert main(["fit", "--input", str(path), "--k", "1", "--init", init,
+                     "--out", str(tmp_path / init)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "overflows" in err[0], err
+        assert not (tmp_path / init / "w.csv").exists()
 
 
 def test_fit_flag_validation(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repca import DataMatrix, DimensionMismatch, Projection, RankDeficient, SpectrumGapWarning, center_columns
-from repca.linalg import SymmetricMatrix, procrustes_project, spectral_norm, top_r_eigvecs
+from repca.linalg import SymmetricMatrix, _fix_column_signs, procrustes_project, spectral_norm, top_r_eigvecs
 
 # ---------------------------------------------------------------- wrappers
 
@@ -104,7 +104,7 @@ def test_procrustes_matches_svd_polar_factor():
         r = rng.standard_normal((m, k))
         u, _, vt = np.linalg.svd(r, full_matrices=False)
         got = procrustes_project(r)
-        np.testing.assert_allclose(got.values, u @ vt, atol=1e-12)
+        np.testing.assert_allclose(got, u @ vt, atol=1e-12)
 
 
 def test_procrustes_maximizes_alignment():
@@ -112,7 +112,7 @@ def test_procrustes_maximizes_alignment():
     rng = np.random.default_rng(4)
     r = rng.standard_normal((7, 3))
     best = procrustes_project(r)
-    score = float(np.sum(best.values * r))
+    score = float(np.sum(best * r))
     for _ in range(200):
         q, _ = np.linalg.qr(rng.standard_normal((7, 3)))
         assert float(np.sum(q * r)) <= score + 1e-9
@@ -130,11 +130,11 @@ def test_procrustes_rejects_rank_deficiency():
 
 
 def test_top_r_eigvecs_on_diagonal_matrix():
-    got = top_r_eigvecs(SymmetricMatrix(np.diag([5.0, 3.0, 1.0])), 2)
-    np.testing.assert_allclose(np.abs(got.values), np.eye(3)[:, :2], atol=1e-12)
+    got = top_r_eigvecs(np.diag([5.0, 3.0, 1.0]), 2)
+    np.testing.assert_allclose(np.abs(got), np.eye(3)[:, :2], atol=1e-12)
     # sign convention: leading significant entry is nonnegative
-    assert got.values[0, 0] > 0
-    assert got.values[1, 1] > 0
+    assert got[0, 0] > 0
+    assert got[1, 1] > 0
 
 
 def test_top_r_eigvecs_satisfies_eigen_equation():
@@ -142,25 +142,25 @@ def test_top_r_eigvecs_satisfies_eigen_equation():
     for _ in range(25):
         n = int(rng.integers(2, 10))
         a = rng.standard_normal((n, n))
-        mat = SymmetricMatrix(a + a.T)
+        mat = a + a.T
         r = int(rng.integers(1, n + 1))
-        vecs = top_r_eigvecs(mat, r).values
-        vals = np.sort(np.linalg.eigvalsh(mat.values))[::-1][:r]
-        np.testing.assert_allclose(mat.values @ vecs, vecs * vals, atol=1e-8)
+        vecs = top_r_eigvecs(mat, r)
+        vals = np.sort(np.linalg.eigvalsh(mat))[::-1][:r]
+        np.testing.assert_allclose(mat @ vecs, vecs * vals, atol=1e-8)
 
 
 def test_top_r_eigvecs_is_deterministic():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((8, 8))
-    mat = SymmetricMatrix(a + a.T)
-    first = top_r_eigvecs(mat, 3).values
-    second = top_r_eigvecs(mat, 3).values
+    mat = a + a.T
+    first = top_r_eigvecs(mat, 3)
+    second = top_r_eigvecs(mat, 3)
     np.testing.assert_array_equal(first, second)
 
 
 def test_top_r_eigvecs_warns_on_closed_gap():
     with pytest.warns(SpectrumGapWarning):
-        top_r_eigvecs(SymmetricMatrix(np.eye(3)), 1)
+        top_r_eigvecs(np.eye(3), 1)
 
 
 def test_top_r_eigvecs_silent_on_clear_gap():
@@ -168,11 +168,37 @@ def test_top_r_eigvecs_silent_on_clear_gap():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        top_r_eigvecs(SymmetricMatrix(np.diag([5.0, 3.0, 1.0])), 1)
+        top_r_eigvecs(np.diag([5.0, 3.0, 1.0]), 1)
+
+
+def test_fix_column_signs_matches_the_column_loop():
+    """The vectorized sign rule flips the same columns as the per-column
+    loop it replaced, bit for bit, and returns a C-ordered array."""
+
+    def column_loop(vecs):
+        out = np.array(vecs, copy=True)
+        for j in range(out.shape[1]):
+            col = out[:, j]
+            lead = np.nonzero(np.abs(col) > 1e-12)[0]
+            if lead.size and col[lead[0]] < 0:
+                out[:, j] = -col
+        return out
+
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        m = int(rng.integers(1, 9))
+        r = int(rng.integers(1, m + 1))
+        vecs = rng.standard_normal((m, r))
+        vecs[: int(rng.integers(0, m + 1))] *= rng.choice([0.0, 1e-13, -1e-13])
+        vecs[:, int(rng.integers(0, r))] *= rng.choice([1.0, 0.0, -0.0])
+        for view in (vecs, np.asfortranarray(vecs)[:, ::-1]):
+            got = _fix_column_signs(view)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == np.ascontiguousarray(column_loop(view)).tobytes()
 
 
 def test_top_r_eigvecs_rejects_bad_r():
-    mat = SymmetricMatrix(np.eye(3))
+    mat = np.eye(3)
     with pytest.raises(DimensionMismatch):
         top_r_eigvecs(mat, 0)
     with pytest.raises(DimensionMismatch):
@@ -183,15 +209,15 @@ def test_top_r_eigvecs_rejects_bad_r():
 
 
 def test_spectral_norm_known_values():
-    assert spectral_norm(SymmetricMatrix(np.zeros((3, 3)))) == 0.0
-    assert spectral_norm(SymmetricMatrix(np.diag([-3.0, 2.0]))) == 3.0
-    assert spectral_norm(SymmetricMatrix(np.diag([4.0, 1.0]))) == 4.0
+    assert spectral_norm(np.zeros((3, 3))) == 0.0
+    assert spectral_norm(np.diag([-3.0, 2.0])) == 3.0
+    assert spectral_norm(np.diag([4.0, 1.0])) == 4.0
 
 
 def test_spectral_norm_start_vector_in_nullspace():
     # A @ ones == 0: an iterative estimate started from the all-ones vector
     # would never leave the null space, so this pins the exact answer.
-    mat = SymmetricMatrix([[1.0, -1.0], [-1.0, 1.0]])
+    mat = np.array([[1.0, -1.0], [-1.0, 1.0]])
     assert spectral_norm(mat) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -200,8 +226,8 @@ def test_spectral_norm_matches_dense_oracle():
     for _ in range(100):
         n = int(rng.integers(1, 20))
         a = rng.standard_normal((n, n))
-        mat = SymmetricMatrix(a + a.T)
-        want = float(np.max(np.abs(np.linalg.eigvalsh(mat.values))))
+        mat = a + a.T
+        want = float(np.max(np.abs(np.linalg.eigvalsh(mat))))
         assert spectral_norm(mat) == want
 
 
@@ -209,7 +235,28 @@ def test_spectral_norm_psd_scatter_inputs():
     rng = np.random.default_rng(8)
     for _ in range(50):
         x = rng.standard_normal((6, 30))
-        mat = SymmetricMatrix(x @ x.T)
-        want = float(np.max(np.abs(np.linalg.eigvalsh(mat.values))))
+        mat = x @ x.T
+        want = float(np.max(np.abs(np.linalg.eigvalsh(mat))))
         assert spectral_norm(mat) == want
         assert want == pytest.approx(np.linalg.norm(x, ord=2) ** 2, rel=1e-12)
+
+
+# ------------------------------------------------------------ input checks
+
+
+def test_helpers_check_shape_and_finiteness():
+    """The checks the loop's helpers keep: a square input for the spectral
+    helpers, and no non-finite entry (an overflowed scatter) anywhere."""
+    for helper in (spectral_norm, lambda a: top_r_eigvecs(a, 1)):
+        for shape in ((2, 3), (3,), (1, 2, 2)):
+            with pytest.raises(DimensionMismatch):
+                helper(np.ones(shape))
+        for bad in (np.inf, -np.inf, np.nan):
+            mat = np.eye(3)
+            mat[1, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                helper(mat)
+    with pytest.raises(ValueError, match="non-finite"):
+        procrustes_project(np.array([[1.0, 0.0], [0.0, np.inf], [0.0, 0.0]]))
+    with pytest.raises(DimensionMismatch):
+        procrustes_project(np.ones(3))

@@ -154,14 +154,14 @@ def test_weighted_scatter_formula_and_psd():
     d = rng.uniform(0.1, 2.0, size=12)
     scatter = weighted_scatter(DataMatrix(x), d)
     want = sum(d[i] * np.outer(x[:, i], x[:, i]) for i in range(12))
-    np.testing.assert_allclose(scatter.values, want, atol=1e-12)
-    assert np.linalg.eigvalsh(scatter.values).min() >= -1e-12
+    np.testing.assert_allclose(scatter, want, atol=1e-12)
+    assert np.linalg.eigvalsh(scatter).min() >= -1e-12
     # Exactly symmetric, with some weights exactly zero, at several shapes.
     for m, n in ((2, 5), (10, 200), (17, 31), (40, 9)):
         x = rng.standard_normal((m, n))
         d = rng.uniform(0.0, 3.0, size=n)
         d[rng.permutation(n)[: n // 4]] = 0.0
-        m_d = weighted_scatter(DataMatrix(x), d).values
+        m_d = weighted_scatter(DataMatrix(x), d)
         assert np.array_equal(m_d, m_d.T)
         want = (x * d) @ x.T
         assert np.linalg.norm(m_d - want) <= 1e-13 * np.linalg.norm(want)

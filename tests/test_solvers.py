@@ -224,6 +224,45 @@ def test_callback_sees_every_iterate():
         assert seen[-1][1] is out.projection
 
 
+@pytest.mark.parametrize("init", ("vanilla", "random"))
+def test_fit_builds_projections_only_at_the_door(monkeypatch, init):
+    """Rounds run on plain arrays: without a callback a fit builds one
+    Projection for its start and one for its result, however many rounds
+    it takes; with one, one more per round, and the last is the result."""
+    data, _ = _instance(21, m=10, n=200, frac=0.1, scale=5.0)
+    built = []
+    check = Projection.__post_init__
+    monkeypatch.setattr(Projection, "__post_init__", lambda self: (built.append(self), check(self)))
+    for variant in VARIANTS:
+        config = SolverConfig(variant=variant, init=init, tol=0.0, max_iter=12)
+        built.clear()
+        out = fit(data, 2, NormSpec.l1(), config)
+        assert out.iterations >= 10, variant
+        assert len(built) <= 2, variant
+        assert built[-1] is out.projection
+        built.clear()
+        out = fit(data, 2, NormSpec.l1(), config, callback=lambda it, basis, obj: None)
+        assert len(built) == out.iterations + 1, variant
+        assert built[-1] is out.projection
+
+
+@pytest.mark.parametrize("init", ("vanilla", "random"))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_rejects_data_whose_norm_overflows(init, variant):
+    """||X||_F^2 past the float range is refused before any round, without
+    a RuntimeWarning (the suite makes those errors); a random start used to
+    "converge" at once because the span test compared inf with inf."""
+    rng = np.random.default_rng(22)
+    base = rng.standard_normal((4, 30))
+    base -= base.mean(axis=1, keepdims=True)
+    config = SolverConfig(variant=variant, init=init, max_iter=5)
+    for norm in (NormSpec.l1(), NormSpec.l2p(1.0)):
+        with pytest.raises(ValueError, match="overflows"):
+            fit(DataMatrix(base * 1e160, centered=True), 2, norm, config)
+        out = fit(DataMatrix(base * 1e150, centered=True), 2, norm, config)
+        assert np.isfinite(out.objective_trace).all()
+
+
 def test_result_trace_is_read_only():
     data, _ = _instance(8)
     for variant in VARIANTS:

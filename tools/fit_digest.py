@@ -1,0 +1,73 @@
+#!/usr/bin/env python3
+"""Print one line, ``<fits> <sha256>``, that pins the bits of a fixed set of fits.
+
+usage: python tools/fit_digest.py
+
+Two source trees whose fits agree bit for bit print the same line, so a
+refactor that must not change any fit is checked by running this once with
+each tree's ``src`` first on ``PYTHONPATH``.  Without one, the ``src`` of
+this checkout is used.
+
+The fit set: the 8 planted problems of the benchmark's small_grid size
+(10x200, k = 2, noise 0.1, 10% outliers at scale 5, data seeds 0-7), each
+fitted with every variant, the l1, l2p(1) and l2p(0.5) losses, and the
+vanilla and the random start (seed 3); plus one fit per variant with a
+callback, whose every call is hashed too.  For each fit the digest covers
+the basis, the objective trace, ``iterations``, ``converged``,
+``monotone_violations`` and ``spectrum_gap_events``.
+"""
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
+from repca import NormSpec, SolverConfig, SynthSpec, fit, synth_subspace  # noqa: E402
+
+VARIANTS = ("pgd", "momentum", "irls")
+NORMS = (NormSpec.l1(), NormSpec.l2p(1.0), NormSpec.l2p(0.5))
+STARTS = (("vanilla", 0), ("random", 3))
+K = 2
+
+
+def _problem(seed: int):
+    spec = SynthSpec(m=10, n=200, k_true=K, noise_sigma=0.1, outlier_frac=0.1,
+                     outlier_scale=5.0, seed=seed)
+    return synth_subspace(spec)[0]
+
+
+def _update(h, result) -> None:
+    h.update(result.projection.values.tobytes())
+    h.update(result.objective_trace.tobytes())
+    h.update(repr((result.iterations, result.converged, result.monotone_violations,
+                   result.spectrum_gap_events)).encode())
+
+
+def main() -> int:
+    h = hashlib.sha256()
+    fits = 0
+    problems = [_problem(seed) for seed in range(8)]
+    for data in problems:
+        for variant in VARIANTS:
+            for norm in NORMS:
+                for init, seed in STARTS:
+                    config = SolverConfig(variant=variant, init=init, seed=seed)
+                    _update(h, fit(data, K, norm, config))
+                    fits += 1
+    for variant in VARIANTS:
+        calls = []
+        result = fit(problems[0], K, NORMS[0], SolverConfig(variant=variant),
+                     callback=lambda it, basis, obj: calls.append((it, basis.values.tobytes(), obj)))
+        for it, values, obj in calls:
+            h.update(repr((it, obj)).encode())
+            h.update(values)
+        _update(h, result)
+        fits += 1
+    print(fits, h.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
