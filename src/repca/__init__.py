@@ -4,10 +4,11 @@ Vanilla PCA minimizes the squared Frobenius norm of X - W W^T X over
 orthonormal W, which squares each residual and lets a few corrupted
 samples dominate the fit.  This package swaps in two robust losses,
 the elementwise l1 norm and a columnwise l2 norm raised to a power
-p in (0, 2], and minimizes them on the same constraint set with one
-iteratively reweighted loop, ``fit``, that takes one of three steps:
-projected gradient descent, a momentum-accelerated variant, or an
-eigenproblem per iteration.
+p in (0, 2], and minimizes all three losses on the same constraint set
+with one entry point, ``fit``: the squared loss in closed form, the
+robust ones with one iteratively reweighted loop that takes one of
+three steps: projected gradient descent, a momentum-accelerated
+variant, or an eigenproblem per iteration.
 
 Data convention throughout: samples are columns, features are rows,
 and columns are centered before fitting.

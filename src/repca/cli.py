@@ -5,7 +5,7 @@ or ``BenchJob``) and hands it to that command's runner.  A job holds the
 library's own spec objects (``SynthSpec``, ``NormSpec``, ``SolverConfig``),
 whose constructors check every value; the job's ``__post_init__`` checks
 the few rules that span several flags, and ``_check_k`` checks k against
-the loaded data.
+the loaded data by ``fit``'s own rule.
 
 Every command writes a ``manifest.json`` whose ``config`` is the job as
 nested JSON (``dataclasses.asdict``: ``spec``, ``norm``/``norms`` and
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 import types
 import typing
 from collections import defaultdict
@@ -35,11 +34,11 @@ import numpy as np
 from . import __version__
 from .csvio import FLOAT_FORMAT, read_matrix_csv, write_mask_csv, write_matrix_csv
 from .datagen import SynthSpec, synth_subspace
-from .errors import CsvParseError, InvalidSpec
+from .errors import CsvParseError, DimensionMismatch, InvalidSpec
 from .linalg import DataMatrix, Projection, center_columns
 from .metrics import evaluate
-from .objectives import NormSpec, objective_value
-from .solvers import INITS, VARIANTS, FitResult, SolverConfig, _counting_gaps, fit, vanilla_pca
+from .objectives import NormSpec
+from .solvers import INITS, VARIANTS, FitResult, SolverConfig, _check_fit_args, fit
 
 _EPILOG = """\
 file formats:
@@ -117,11 +116,12 @@ class BenchJob:
             raise UsageError("--w-true needs --input")
 
 
-def _check_k(k: int, data: DataMatrix, square: bool) -> None:
-    """k is at most m, or min(m, n) when a vanilla PCA basis is needed."""
-    bound, name = (min(data.shape), "min(m, n)") if square else (data.shape[0], "m")
-    if k > bound:
-        raise UsageError(f"k must be at most {name} = {bound} for this input, got {k}")
+def _check_k(data: DataMatrix, k: int, norm: NormSpec, solver: SolverConfig) -> None:
+    """``fit``'s own k range for the loaded data; out of it is a usage error."""
+    try:
+        _check_fit_args(data, k, norm, solver)
+    except DimensionMismatch as exc:
+        raise UsageError(str(exc)) from exc
 
 
 _JSON_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
@@ -201,15 +201,6 @@ def _load_data(job: FitJob | BenchJob) -> DataMatrix:
     return center_columns(DataMatrix(arr.T))[0] if job.center else DataMatrix(arr.T, centered=True)
 
 
-def _vanilla(data: DataMatrix, k: int) -> FitResult:
-    """Closed-form PCA, recorded like a fit that took no iterations.  A
-    closed eigengap is counted in ``spectrum_gap_events``, as ``fit`` does."""
-    start = time.perf_counter()
-    basis, gaps = _counting_gaps(vanilla_pca, data, k)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return FitResult(basis, [objective_value(data, basis, NormSpec.fro())], 0, True, wall_ms, 0, gaps)
-
-
 def _trace_record(solver: str, norm: NormSpec, result: FitResult) -> dict:
     return {
         "solver": solver,
@@ -285,12 +276,9 @@ def cmd_synth(ns: argparse.Namespace) -> int:
 
 def _run_fit(job: FitJob, out_dir: Path) -> int:
     data = _load_data(job)
-    closed_form = job.norm.kind == "fro"
-    _check_k(job.k, data, square=closed_form or job.solver.init == "vanilla")
-    if closed_form:
-        solver, result = "vanilla", _vanilla(data, job.k)
-    else:
-        solver, result = job.solver.variant, fit(data, job.k, job.norm, job.solver)
+    _check_k(data, job.k, job.norm, job.solver)
+    result = fit(data, job.k, job.norm, job.solver)
+    solver = "vanilla" if job.norm.kind == "fro" else job.solver.variant
     record = _trace_record(solver, job.norm, result)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -317,7 +305,7 @@ def _bench_once(data: DataMatrix, reference, job: BenchJob, repeat: int) -> list
     each robust solver per requested norm.  Angles are measured to
     ``reference``, or to the vanilla basis when there is none."""
     fro = NormSpec.fro()
-    van = _vanilla(data, job.k)
+    van = fit(data, job.k, fro, job.solver)
     ref = reference if reference is not None else van.projection
     runs = [("vanilla", fro, van, evaluate(data, van.projection, ref, fro))]
     for norm in job.norms:
@@ -339,7 +327,7 @@ def _run_bench(job: BenchJob, out_dir: Path) -> int:
     for repeat in range(job.repeats):
         if job.spec is not None:
             data, reference, _ = synth_subspace(replace(job.spec, seed=job.spec.seed + repeat))
-        _check_k(job.k, data, square=True)
+        _check_k(data, job.k, NormSpec.fro(), job.solver)
         runs = _bench_once(data, reference, job, repeat)
         van_angle = runs[0][3].max_angle_rad
         for solver, norm, result, rep in runs:
@@ -445,15 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     synth = sub.add_parser("synth", help="generate synthetic low-rank data with outliers")
-    synth.add_argument("--m", type=int, required=True, help="ambient dimension (features)")
-    synth.add_argument("--n", type=int, required=True, help="number of samples")
-    synth.add_argument("--k-true", type=int, required=True, dest="k_true",
-                       help="dimension of the true subspace")
-    synth.add_argument("--noise", type=float, default=0.0, help="inlier noise sigma")
-    synth.add_argument("--outlier-frac", type=float, default=0.0, dest="outlier_frac",
-                       help="fraction of samples replaced by outliers, in [0, 1)")
-    synth.add_argument("--outlier-scale", type=float, default=1.0, dest="outlier_scale",
-                       help="standard deviation of outlier entries")
+    _add_spec_flags(synth, required=True)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--header", action="store_true", help="write a header row to data.csv")
     synth.add_argument("--out", required=True, help="output directory")
@@ -478,12 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--input", default=None, help="data CSV; omit to synthesize per repeat")
     bench.add_argument("--w-true", default=None, dest="w_true",
                        help="CSV of the true basis, for angle reporting with --input")
-    bench.add_argument("--m", type=int, default=None)
-    bench.add_argument("--n", type=int, default=None)
-    bench.add_argument("--k-true", type=int, default=None, dest="k_true")
-    bench.add_argument("--noise", type=float, default=0.0)
-    bench.add_argument("--outlier-frac", type=float, default=0.0, dest="outlier_frac")
-    bench.add_argument("--outlier-scale", type=float, default=1.0, dest="outlier_scale")
+    _add_spec_flags(bench, required=False)
     bench.add_argument("--k", type=int, default=None,
                        help="fitted dimension (defaults to --k-true when synthesizing)")
     bench.add_argument("--norm", choices=("l1", "l2p"), action="append",
@@ -503,6 +478,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: the manifest's directory)")
     rerun.set_defaults(func=cmd_rerun)
     return parser
+
+
+def _add_spec_flags(sp: argparse.ArgumentParser, required: bool) -> None:
+    """The ``SynthSpec`` flags; --m, --n and --k-true are required or default to None."""
+    sp.add_argument("--m", type=int, required=required, help="ambient dimension (features)")
+    sp.add_argument("--n", type=int, required=required, help="number of samples")
+    sp.add_argument("--k-true", type=int, required=required, dest="k_true",
+                    help="dimension of the true subspace")
+    sp.add_argument("--noise", type=float, default=0.0, help="inlier noise sigma")
+    sp.add_argument("--outlier-frac", type=float, default=0.0, dest="outlier_frac",
+                    help="fraction of samples replaced by outliers, in [0, 1)")
+    sp.add_argument("--outlier-scale", type=float, default=1.0, dest="outlier_scale",
+                    help="standard deviation of outlier entries")
 
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:

@@ -17,6 +17,7 @@ Z = X diag(sqrt d), a symmetric rank-n update that is exactly symmetric.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -135,8 +136,10 @@ def weights_from_stats(stats: ColumnStats, norm: NormSpec, eps: float) -> np.nda
 
 
 def _check_eps(eps: float) -> None:
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise InvalidSpec(f"eps must be finite and positive, got {eps}")
+    """eps**2, the l1 clamp, must be a normal finite double; NaN fails too."""
+    lo, hi = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
+    if not lo <= eps <= hi:
+        raise InvalidSpec(f"eps must be in [{lo:.3g}, {hi:.3g}], got {eps}")
 
 
 def weights_l1(resid: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:

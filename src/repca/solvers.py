@@ -1,16 +1,18 @@
-"""Orthonormal-subspace solvers for the robust reconstruction losses.
+"""Orthonormal-subspace solvers for the reconstruction losses.
 
-``fit`` runs one reweighted majorize-minimize (MM) loop.  Each round
-rebuilds the per-sample weight diagonal d from the current residual,
-forms the reweighted scatter M = X diag(d) X^T, and then takes one step
-that decreases the weighted quadratic tr(Y diag(d) Y^T) built around the
+``fit`` takes all three losses.  For fro it returns the closed-form
+minimizer, the vanilla start, and runs no round.  For l1 and l2p it runs
+one reweighted majorize-minimize (MM) loop.  Each round rebuilds the
+per-sample weight diagonal d from the current residual, forms the
+reweighted scatter M = X diag(d) X^T, and then takes one step that
+decreases the weighted quadratic tr(Y diag(d) Y^T) built around the
 current basis.  The m-by-n residual is formed once per round, in place,
 and reduced to the per-column sums of ``objectives.column_stats``; the
 objective, the weights and the span-floor norm below all follow from
 those.  Values are checked where they enter and leave: ``fit`` takes a
 checked ``DataMatrix``, rejects data whose squared Frobenius norm
-overflows, and runs its rounds on plain arrays, building a ``Projection``
-for the result (and, per round, only for a callback).
+overflows, and runs its rounds on plain arrays, building a
+``Projection`` for the result (and, per round, only for a callback).
 ``SolverConfig.variant`` picks only that step:
 
 * ``pgd``       the gradient step W + M W / ||M||_2, retracted with the
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -48,6 +50,7 @@ from .objectives import (
     ColumnStats,
     NormSpec,
     _basis_stats,
+    _check_eps,
     _objective_from_residual,  # noqa: F401  (benchmarks/tracing.py wraps this name)
     objective_from_stats,
     weighted_scatter,
@@ -82,8 +85,7 @@ class SolverConfig:
             raise InvalidSpec(f"max_iter must be at least 1, got {self.max_iter}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise InvalidSpec(f"tol must be finite and nonnegative, got {self.tol}")
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise InvalidSpec(f"eps must be finite and positive, got {self.eps}")
+        _check_eps(self.eps)
         if self.init not in INITS:
             raise InvalidSpec(f"init must be one of {INITS}, got {self.init!r}")
         if self.seed < 0:
@@ -143,18 +145,21 @@ def _require_centered(data: DataMatrix) -> None:
         raise ValueError("data must be centered; run center_columns first")
 
 
-def _check_fit_args(data: DataMatrix, k: int, norm: NormSpec, config: SolverConfig) -> None:
-    if norm.kind not in ("l1", "l2p"):
-        raise InvalidSpec(f"robust solvers take the l1 or l2p loss, got {norm.kind!r}")
+def _check_fit_args(data: DataMatrix, k: int, norm: NormSpec, config: SolverConfig) -> SolverConfig:
+    """Check ``fit``'s arguments; return its config, whose start is the
+    vanilla one, the closed-form minimizer, for the fro loss."""
     _require_centered(data)
     require_int("k", k)
+    if norm.kind == "fro":
+        config = replace(config, init="vanilla")
     m, n = data.shape
     if not 1 <= k <= m:
         raise DimensionMismatch(f"k must be in [1, {m}], got {k}")
     if config.init == "vanilla" and k > min(m, n):
         raise DimensionMismatch(
-            f"vanilla init needs k <= min(m, n) = {min(m, n)}, got {k}"
+            f"the vanilla start needs k <= min(m, n) = {min(m, n)}, got {k}"
         )
+    return config
 
 
 def _frobenius_norm(x: np.ndarray) -> float:
@@ -230,23 +235,25 @@ def fit(
     config: SolverConfig = SolverConfig(),
     callback: IterationCallback | None = None,
 ) -> FitResult:
-    """Fit a k-column orthonormal basis minimizing the chosen robust loss.
+    """Fit a k-column orthonormal basis minimizing the chosen loss.
 
-    Each round rebuilds the weight diagonal at the current basis, forms the
-    reweighted scatter, and moves the basis by the step ``config.variant``
-    names (see the module docstring).  Each pgd step decreases the weighted
-    quadratic built around the current iterate.  For the columnwise loss
-    that quadratic lies above the loss itself, so the recorded trace is
-    non-increasing up to rounding; the elementwise loss enjoys no such
-    bound and its trace can tick upward even though the overall trend
-    still falls.  momentum and irls increases are counted in
+    For fro the vanilla start is the minimizer: the result holds it, with
+    ``iterations=0``, ``converged=True`` and a one-entry trace.  For l1 and
+    l2p each round rebuilds the weight diagonal at the current basis, forms
+    the reweighted scatter, and moves the basis by the step
+    ``config.variant`` names (see the module docstring).  Each pgd step
+    decreases the weighted quadratic built around the current iterate.  For
+    the columnwise loss that quadratic lies above the loss itself, so the
+    recorded trace is non-increasing up to rounding; the elementwise loss
+    enjoys no such bound and its trace can tick upward even though the
+    overall trend still falls.  momentum and irls increases are counted in
     ``monotone_violations``, not suppressed.  A closed eigengap in the
     vanilla start or an irls step is counted in ``spectrum_gap_events``.
 
     ``callback(it, basis, objective)`` sees the start (it = 0) and every
     iterate after it.
     """
-    _check_fit_args(data, k, norm, config)
+    config = _check_fit_args(data, k, norm, config)
     start = time.perf_counter()
     x = data.values
     floor = SPAN_RTOL * _frobenius_norm(x)
@@ -257,9 +264,9 @@ def fit(
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
         callback(0, basis, trace[0])
-    converged = False
+    converged = norm.kind == "fro"  # the vanilla start is its minimizer
     iterations = 0
-    for it in range(1, config.max_iter + 1):
+    while not converged and iterations < config.max_iter:
         if math.sqrt(stats.sq.sum()) <= floor:
             converged = True
             break
@@ -268,13 +275,11 @@ def fit(
         gap_events += gaps
         stats = _basis_stats(x, w, norm)
         trace.append(objective_from_stats(stats, norm))
-        iterations = it
+        iterations += 1
         if callback is not None:
             basis = Projection(w)
-            callback(it, basis, trace[-1])
-        if check_convergence(trace, config.tol):
-            converged = True
-            break
+            callback(iterations, basis, trace[-1])
+        converged = check_convergence(trace, config.tol)
     if iterations and callback is None:
         basis = Projection(w)
     return FitResult(

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repca import DataMatrix, center_columns
-from repca.cli import SUMMARY_HEADER, _vanilla, main
+from repca import DataMatrix, NormSpec, SolverConfig, center_columns, fit
+from repca.cli import SUMMARY_HEADER, main
 from repca.csvio import read_matrix_csv, write_matrix_csv
 
 
@@ -144,22 +144,26 @@ def test_fit_degenerate_csv_keeps_stderr_empty(tmp_path, capsys, rows):
 
 
 def test_vanilla_baseline_counts_the_closed_gap():
+    """bench's baseline is the fro fit; its start has no eigengap here."""
     data = center_columns(DataMatrix(np.full((3, 3), 3.0)))[0]
-    assert _vanilla(data, 1).spectrum_gap_events == 1
+    for init in ("vanilla", "random"):
+        assert fit(data, 1, NormSpec.fro(), SolverConfig(init=init)).spectrum_gap_events == 1
 
 
 def test_fit_overflowing_csv_exits_one(tmp_path, capsys):
     """Data whose squared norm overflows is refused with one error line
-    for either start; a random start used to exit 0, "converged"."""
+    for either start, by the fro fit and by bench; a random start used to
+    exit 0, "converged"."""
     path = tmp_path / "big.csv"
     path.write_text("1e160,-1e160\n-1e160,1e160\n1e160,1e160\n-1e160,-1e160\n")
     capsys.readouterr()
-    for init in ("random", "vanilla"):
-        assert main(["fit", "--input", str(path), "--k", "1", "--init", init,
-                     "--out", str(tmp_path / init)]) == 1
+    for name, command, *flags in (("random", "fit", "--init", "random"), ("vanilla", "fit"),
+                                  ("fro", "fit", "--norm", "fro"), ("bench", "bench")):
+        assert main([command, "--input", str(path), "--k", "1", *flags,
+                     "--out", str(tmp_path / name)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "overflows" in err[0], err
-        assert not (tmp_path / init / "w.csv").exists()
+        assert not (tmp_path / name).exists()
 
 
 def test_fit_flag_validation(tmp_path):
@@ -172,6 +176,11 @@ def test_fit_flag_validation(tmp_path):
                  "--p", "1.0", "--out", out]) == 2
     assert main(["fit", "--input", data, "--k", "99", "--out", out]) == 2
     assert main(["fit", "--input", data, "--k", "0", "--out", out]) == 2
+    # 3 samples of 5 features: the closed form needs k <= 3 whatever the start
+    thin = tmp_path / "thin.csv"
+    write_matrix_csv(thin, np.random.default_rng(0).standard_normal((3, 5)))
+    assert main(["fit", "--input", str(thin), "--k", "4", "--norm", "fro",
+                 "--init", "random", "--out", out]) == 2
 
 
 @pytest.mark.parametrize("flag", ("--tol", "--eps"))
@@ -183,6 +192,22 @@ def test_fit_non_finite_setting_exits_two(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "y").exists()
+
+
+@pytest.mark.parametrize("eps", ("1.5e-154", "1.3e154"))
+def test_fit_eps_at_the_range_ends_runs_cleanly(tmp_path, capsys, eps):
+    """The third sample is the mean, so its residual column is zero and
+    sits at the clamp; at either end of the eps range no weight is 0/0,
+    inf or all zero."""
+    path = tmp_path / "data.csv"
+    path.write_text("1,2\n-1,-2\n0,0\n3,-1\n-3,1\n")
+    capsys.readouterr()
+    for flags in ([], ["--solver", "irls"], ["--solver", "momentum"], ["--norm", "l2p", "--p", "0.1"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--input", str(path), "--k", "1", "--eps", eps, *flags,
+                         "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == "", flags
 
 
 def test_fit_runtime_failures_exit_one(tmp_path):
@@ -264,20 +289,39 @@ def test_bench_flag_validation(tmp_path):
 # -------------------------------------------------------------------- rerun
 
 
+def _without_wall_times(path):
+    payload = json.loads(path.read_text())
+    for record in payload if isinstance(payload, list) else [payload]:
+        record.pop("wall_time_ms")
+    return payload
+
+
 def test_rerun_reproduces_fit(tmp_path):
+    """rerun reproduces every output byte for byte, apart from the JSON
+    files that record wall times, which match once those are dropped."""
     synth_dir = _synth(tmp_path)
-    first = tmp_path / "fit1"
-    assert main(["fit", "--input", str(synth_dir / "data.csv"), "--k", "2",
-                 "--solver", "momentum", "--out", str(first)]) == 0
-    second = tmp_path / "fit2"
-    assert main(["rerun", "--manifest", str(first / "manifest.json"),
-                 "--out", str(second)]) == 0
-    assert (first / "w.csv").read_bytes() == (second / "w.csv").read_bytes()
-    a = json.loads((first / "trace.json").read_text())
-    b = json.loads((second / "trace.json").read_text())
-    a.pop("wall_time_ms"); b.pop("wall_time_ms")
-    assert a == b
-    assert (first / "manifest.json").read_bytes() == (second / "manifest.json").read_bytes()
+    data = str(synth_dir / "data.csv")
+    runs = {  # name: (argv, byte-equal outputs, outputs equal without wall times)
+        "fit": (["fit", "--input", data, "--k", "2", "--solver", "momentum"],
+                ["w.csv"], ["trace.json"]),
+        "synth": (["synth", "--m", "6", "--n", "40", "--k-true", "2", "--noise", "0.05",
+                   "--outlier-frac", "0.1", "--seed", "3"],
+                  ["data.csv", "w_true.csv", "outlier_mask.csv"], []),
+        "fro": (["fit", "--input", data, "--k", "2", "--norm", "fro"], ["w.csv"], ["trace.json"]),
+        "bench": (["bench", "--m", "5", "--n", "30", "--k-true", "2", "--noise", "0.05",
+                   "--outlier-frac", "0.1", "--norm", "l1", "--norm", "l2p", "--repeats", "2",
+                   "--max-iter", "50", "--seed", "4"],
+                  ["wins.json"], ["reports.json", "traces.json"]),
+    }
+    for name, (argv, same_bytes, same_json) in runs.items():
+        first, second = tmp_path / f"{name}1", tmp_path / f"{name}2"
+        assert main([*argv, "--out", str(first)]) == 0
+        assert main(["rerun", "--manifest", str(first / "manifest.json"),
+                     "--out", str(second)]) == 0
+        for out in [*same_bytes, "manifest.json"]:
+            assert (first / out).read_bytes() == (second / out).read_bytes(), (name, out)
+        for out in same_json:
+            assert _without_wall_times(first / out) == _without_wall_times(second / out), (name, out)
 
 
 def test_rerun_rejects_unknown_command(tmp_path):
@@ -383,6 +427,10 @@ USAGE_CASES = {
     "bench_solver_variant": ("bench", None, {"solver.variant": "irls"}),
     "bench_solver_seed_differs": ("bench", None, {"solver.seed": 1}),
     "fit_huge_integer_tol": ("fit", None, {"solver.tol": 10 ** 400}),
+    # eps**2 is the l1 clamp: it must be neither 0 nor inf
+    "fit_eps_squared_underflows": ("fit", ["--eps", "1e-200"], {"solver.eps": 1e-200}),
+    "fit_eps_squared_overflows": ("fit", ["--eps", "1e160"], {"solver.eps": 1e160}),
+    "bench_huge_eps": ("bench", ["--eps", "1e300"], {"solver.eps": 1e300}),
 }
 
 

@@ -33,6 +33,8 @@ def _instance(seed, m=12, n=90, k=3, noise=0.1, frac=0.0, scale=1.0):
 
 def test_solver_config_validation():
     SolverConfig()
+    SolverConfig(eps=1.5e-154)  # just inside the range where eps**2 is normal and finite
+    SolverConfig(eps=1.3e154)
     with pytest.raises(InvalidSpec):
         SolverConfig(variant="newton")
     with pytest.raises(InvalidSpec):
@@ -48,6 +50,8 @@ def test_solver_config_validation():
 @pytest.mark.parametrize("field, value", (
     ("tol", float("nan")), ("tol", float("inf")),
     ("eps", float("nan")), ("eps", float("inf")),
+    # eps**2 underflows to 0 or overflows to inf
+    ("eps", 1e-200), ("eps", 1e160), ("eps", 1e300),
 ))
 def test_solver_config_rejects_non_finite(field, value):
     with pytest.raises(InvalidSpec, match=field):
@@ -81,10 +85,26 @@ def test_counts_accept_numpy_integers():
     assert np.array_equal(out.projection.values, want.projection.values)
 
 
-def test_fit_rejects_fro_norm():
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("init", ("vanilla", "random"))
+def test_fit_fro_is_the_closed_form(variant, init):
+    """The fro loss is minimized by the vanilla start: fit returns it and
+    runs no round, whatever the variant or the start asked for."""
     data, _ = _instance(0)
-    with pytest.raises(InvalidSpec):
-        fit(data, 2, NormSpec.fro(), SolverConfig(variant="pgd"))
+    calls = []
+    out = fit(data, 2, NormSpec.fro(), SolverConfig(variant=variant, init=init, seed=3),
+              callback=lambda it, basis, obj: calls.append((it, basis, obj)))
+    want = vanilla_pca(data, 2)
+    assert out.projection.values.tobytes() == want.values.tobytes()
+    assert out.objective_trace.tolist() == [objective_value(data, want, NormSpec.fro())]
+    assert (out.iterations, out.converged, out.monotone_violations, out.spectrum_gap_events) \
+        == (0, True, 0, 0)
+    assert [(it, obj) for it, _, obj in calls] == [(0, out.objective_trace[0])]
+    assert calls[0][1] is out.projection
+    # the closed form needs k <= min(m, n) for either start
+    thin, _ = center_columns(DataMatrix(data.values[:, :4]))
+    with pytest.raises(DimensionMismatch):
+        fit(thin, 5, NormSpec.fro(), SolverConfig(variant=variant, init=init))
 
 
 def test_fit_rejects_uncentered_data():
