@@ -45,7 +45,11 @@ file formats:
   Data CSVs hold one sample per row and one feature per column; they are
   transposed on load so samples become columns internally.  Projection
   CSVs hold one feature per row and one component per column.  Values
-  carry 17 significant digits and round-trip exactly.
+  carry 17 significant digits and round-trip exactly.  Input CSVs are
+  ASCII and comma-separated; blank and whitespace-only lines are skipped,
+  spaces around a field are allowed, and fields use Python's float
+  syntax, nan and inf included.  Errors name the file and the 1-based
+  line.
 
 reproducing a run:
   repca rerun --manifest OUT/manifest.json --out NEWDIR

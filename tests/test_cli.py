@@ -219,6 +219,26 @@ def test_fit_runtime_failures_exit_one(tmp_path):
     assert main(["fit", "--input", str(bad), "--k", "1", "--out", out]) == 1
 
 
+@pytest.mark.parametrize("text, message", (
+    (b"", "no data rows"),
+    (b"\n\n", "no data rows"),
+    (b" \n\t\n", "no data rows"),
+    (b"1,2\n3,\xc3\xa9\n", "line 2: byte 0xc3 is not ASCII"),
+    (b"1,2\r3,4\r\n\n5,\xff\n", "line 4: byte 0xff is not ASCII"),
+), ids=("empty", "blank_lines", "whitespace_lines", "utf8", "mixed_line_ends"))
+def test_fit_unreadable_csv_exits_one_with_one_line(tmp_path, capsys, text, message):
+    """A file without data or with a byte outside ASCII is refused with one
+    error line that names the file, and no library warning reaches stderr."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--input", str(path), "--k", "1", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n", err
+
+
 def test_fit_no_center_trusts_but_verifies(tmp_path):
     uncentered = tmp_path / "raw.csv"
     write_matrix_csv(uncentered, np.random.default_rng(0).standard_normal((30, 4)) + 2.0)
