@@ -220,6 +220,17 @@ def test_random_init_is_seeded():
     assert not np.array_equal(a.objective_trace[:1], c.objective_trace[:1])
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_random_start_is_not_the_planted_basis(seed):
+    """The data and the start share a seed, as in ``repca bench --init
+    random``, yet the start is far from W_true."""
+    data, w_true, _ = synth_subspace(SynthSpec(m=6, n=50, k_true=2, seed=seed))
+    starts = []
+    fit(data, 2, NormSpec.l1(), SolverConfig(init="random", seed=seed, max_iter=1),
+        callback=lambda it, basis, obj: starts.append(basis) if it == 0 else None)
+    assert principal_angles(starts[0], w_true)[-1] > 0.5
+
+
 def test_momentum_first_step_equals_plain_step():
     """With W_old = W_0 the extrapolation vanishes, so one momentum round
     reproduces one plain gradient round exactly."""
