@@ -51,8 +51,11 @@ def read_matrix_csv(path, skip_header: bool = False) -> np.ndarray:
         with warnings.catch_warnings():
             # a file without rows is reported by _read_rows, as "no data rows"
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            arr = np.loadtxt(path, dtype=float, delimiter=",", comments=None,
-                             skiprows=int(skip_header), ndmin=2, encoding="ascii")
+            # an open handle, not the path: given a path numpy would resolve
+            # it itself, reading a compressed sibling or fetching a URL
+            with open(path, encoding="ascii") as fh:
+                arr = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
+                                 skiprows=int(skip_header), ndmin=2)
         if arr.shape[0]:
             return arr
     except ValueError:  # a UnicodeDecodeError too: _read_rows meets it again

@@ -1,4 +1,5 @@
 import copy
+import gzip
 import json
 import warnings
 
@@ -217,6 +218,11 @@ def test_fit_runtime_failures_exit_one(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3\n")
     assert main(["fit", "--input", str(bad), "--k", "1", "--out", out]) == 1
+    packed = tmp_path / "data.csv.gz"
+    with gzip.open(packed, "wt", encoding="ascii") as fh:
+        fh.write("1,2\n3,4\n5,7\n")
+    assert main(["fit", "--input", str(packed), "--k", "1", "--out", out]) == 1
+    assert main(["fit", "--input", str(tmp_path / "data.csv"), "--k", "1", "--out", out]) == 1
 
 
 @pytest.mark.parametrize("text, message", (

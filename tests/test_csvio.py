@@ -1,3 +1,5 @@
+import gzip
+
 import numpy as np
 import pytest
 
@@ -108,5 +110,28 @@ def test_empty_file_rejected(tmp_path):
 
 
 def test_missing_file_raises_oserror(tmp_path):
-    with pytest.raises(OSError):
+    with pytest.raises(FileNotFoundError, match="No such file"):
         read_matrix_csv(tmp_path / "nope.csv")
+
+
+def test_missing_file_is_not_replaced_by_a_compressed_sibling(tmp_path):
+    """Only the named file is read: a ``.gz`` next to a missing file is not."""
+    with gzip.open(tmp_path / "data.csv.gz", "wt", encoding="ascii") as fh:
+        fh.write("1,2\n3,4\n")
+    with pytest.raises(FileNotFoundError):
+        read_matrix_csv(tmp_path / "data.csv")
+    with pytest.raises(FileNotFoundError):
+        read_matrix_csv(str(tmp_path / "data.csv"))
+
+
+def test_url_is_a_file_name():
+    with pytest.raises(FileNotFoundError, match="No such file"):
+        read_matrix_csv("http://localhost:9/data.csv")
+
+
+def test_compressed_file_is_not_decompressed(tmp_path):
+    path = tmp_path / "data.csv.gz"
+    with gzip.open(path, "wt", encoding="ascii") as fh:
+        fh.write("1,2\n3,4\n")
+    with pytest.raises(CsvParseError, match="is not ASCII"):
+        read_matrix_csv(path)
