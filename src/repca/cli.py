@@ -521,7 +521,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, InvalidSpec) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CsvParseError, OSError, ValueError, RuntimeError) as exc:
+    except (CsvParseError, OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

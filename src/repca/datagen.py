@@ -6,6 +6,13 @@ times a standard normal vector.  The returned matrix is centered.  All
 draws come from one seeded generator in a fixed order (basis, then
 coefficients, then noise, then outliers), so a seed pins the output
 bit for bit.
+
+Memory: ``synth_subspace`` holds at most two m-by-n float arrays at once,
+plus an m-by-n boolean for a finiteness scan.  The noise is scaled in
+place and added into W_true C, the outliers overwrite their columns, and
+the draw is centered in place before its one ``DataMatrix`` copy.  A
+scale so large that the data or their row sums overflow raises one
+ValueError naming ``noise_sigma`` or ``outlier_scale``.
 """
 from __future__ import annotations
 
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, require_int
-from .linalg import DataMatrix, Projection, center_columns, procrustes_project
+from .linalg import DataMatrix, Projection, _center_rows, procrustes_project
 
 
 @dataclass(frozen=True)
@@ -53,22 +60,44 @@ class SynthSpec:
 
 def _draw_raw(spec: SynthSpec) -> tuple[np.ndarray, Projection, np.ndarray]:
     """Uncentered draw.  Split out so tests can check the inlier columns
-    lie exactly in span(W_true) before centering shifts them."""
+    lie exactly in span(W_true) before centering shifts them.
+
+    A scale large enough to overflow leaves inf in the draw without a
+    warning; ``synth_subspace`` reports it."""
     rng = np.random.default_rng(spec.seed)
     basis = Projection(procrustes_project(rng.standard_normal((spec.m, spec.k_true))))
     coeffs = rng.standard_normal((spec.k_true, spec.n))
-    noise = rng.standard_normal((spec.m, spec.n))
-    raw = basis.values @ coeffs + spec.noise_sigma * noise
+    n_in = spec.n - spec.outlier_count
+    with np.errstate(over="ignore"):
+        raw = basis.values @ coeffs
+        noise = rng.standard_normal((spec.m, spec.n))
+        noise *= spec.noise_sigma
+        raw += noise
+        del noise
+        if n_in < spec.n:
+            outliers = rng.standard_normal((spec.m, spec.n - n_in))
+            outliers *= spec.outlier_scale
+            raw[:, n_in:] = outliers
     mask = np.zeros(spec.n, dtype=bool)
-    n_out = spec.outlier_count
-    if n_out:
-        raw[:, spec.n - n_out :] = spec.outlier_scale * rng.standard_normal((spec.m, n_out))
-        mask[spec.n - n_out :] = True
+    mask[n_in:] = True
     return raw, basis, mask
+
+
+def _overflow_error(spec: SynthSpec, raw: np.ndarray) -> ValueError:
+    # The inlier columns overflow through noise_sigma, the rest through
+    # outlier_scale; a non-finite row sum covers inf entries and sums alike.
+    n_in = spec.n - spec.outlier_count
+    with np.errstate(over="ignore", invalid="ignore"):
+        inliers_overflow = not np.isfinite(raw[:, :n_in].sum(axis=1)).all()
+    name = "noise_sigma" if inliers_overflow else "outlier_scale"
+    return ValueError(f"{name} = {getattr(spec, name):g} is too large: the data overflow the float range")
 
 
 def synth_subspace(spec: SynthSpec) -> tuple[DataMatrix, Projection, np.ndarray]:
     """Generate (centered data, true basis, outlier mask) from ``spec``."""
     raw, basis, mask = _draw_raw(spec)
-    data, _ = center_columns(DataMatrix(raw, centered=False))
-    return data, basis, mask
+    try:
+        _center_rows(raw, out=raw)
+    except ValueError:
+        raise _overflow_error(spec, raw) from None
+    return DataMatrix(raw, centered=True), basis, mask

@@ -14,6 +14,13 @@ of range, non-finite entries) and skip the copy, the symmetry norm and the
 orthonormality check, which the caller vouches for: the loop hands them
 syrk products, exactly symmetric, and wraps its basis in a ``Projection``
 where it leaves the loop.
+
+Memory at the door: building a ``DataMatrix`` allocates its m-by-n copy
+plus an m-by-n boolean for the finiteness scan, and the centered check
+reduces that copy in place rather than through an |X| temporary.
+``center_columns`` writes the centered values into one fresh array and
+hands it to ``DataMatrix``, so it peaks at two m-by-n float arrays plus
+that boolean.
 """
 from __future__ import annotations
 
@@ -64,9 +71,11 @@ class DataMatrix:
         arr = _frozen_matrix(self.values, "DataMatrix.values")
         object.__setattr__(self, "values", arr)
         if self.centered:
-            row_sums = np.abs(arr.sum(axis=1)).max()
-            tol = CENTERED_ROW_SUM_RTOL * arr.shape[1] * max(np.abs(arr).max(), 0.0)
-            if row_sums > tol:
+            # Huge finite entries can overflow a row sum; inf or nan then fails.
+            with np.errstate(over="ignore", invalid="ignore"):
+                row_sums = np.abs(arr.sum(axis=1)).max()
+            tol = CENTERED_ROW_SUM_RTOL * arr.shape[1] * max(arr.max(), -arr.min(), 0.0)
+            if not row_sums <= tol:
                 raise ValueError(
                     f"matrix marked centered but a row sums to {row_sums:.3e} "
                     f"(tolerance {tol:.3e})"
@@ -145,6 +154,20 @@ class SymmetricMatrix:
         return self.values.shape[0]
 
 
+def _center_rows(values: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` minus each row's mean, written to ``out`` (a fresh array
+    when None; ``values`` itself to center in place), and the means.
+
+    Raises ValueError when a row sum overflows, which only entries near the
+    float range can make happen; the caller's ``DataMatrix`` rejects an
+    entry the subtraction pushes past it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean(axis=1)
+        if not np.isfinite(mean).all():
+            raise ValueError("cannot center the rows: a row sum overflows the float range")
+        return np.subtract(values, mean[:, None], out=out), mean
+
+
 def center_columns(data: DataMatrix) -> tuple[DataMatrix, np.ndarray]:
     """Subtract the per-feature mean over samples.
 
@@ -154,8 +177,7 @@ def center_columns(data: DataMatrix) -> tuple[DataMatrix, np.ndarray]:
     """
     if data.centered:
         return data, np.zeros(data.n_features)
-    mean = data.values.mean(axis=1)
-    shifted = data.values - mean[:, None]
+    shifted, mean = _center_rows(data.values)
     return DataMatrix(shifted, centered=True), mean
 
 

@@ -167,6 +167,51 @@ def test_fit_overflowing_csv_exits_one(tmp_path, capsys):
         assert not (tmp_path / name).exists()
 
 
+def test_fit_csv_whose_row_sums_overflow_exits_one(tmp_path, capsys):
+    """Centering, or the centered check under --no-center, meets a feature
+    whose sum overflows: one error line, no numpy warning, no output."""
+    path = tmp_path / "huge.csv"
+    path.write_text("1e308,1\n1e308,2\n-1e300,3\n")
+    capsys.readouterr()
+    for name, flags, message in (("center", (), "a row sum overflows"),
+                                 ("no_center", ("--no-center",), "a row sums to inf")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--input", str(path), "--k", "1", *flags, "--out", str(tmp_path / name)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+        assert not (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("command", ("synth", "bench"))
+@pytest.mark.parametrize("flags, name", (
+    (("--noise", "1e308"), "noise_sigma"),
+    (("--outlier-scale", "1e308", "--outlier-frac", "0.5"), "outlier_scale"),
+), ids=("noise", "outliers"))
+def test_overflowing_scale_exits_one_with_one_line(tmp_path, capsys, command, flags, name):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(_run_argv(command, None, out) + list(flags)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {name} = 1e+308 is too large: the data overflow the float range\n", err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("synth", "bench"))
+def test_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch, command):
+    message = "Unable to allocate 745. GiB for an array with shape (1, 100000000000) and data type float64"
+
+    def refuse(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("repca.cli.synth_subspace", refuse)
+    capsys.readouterr()
+    assert main(_run_argv(command, None, tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_fit_flag_validation(tmp_path):
     synth_dir = _synth(tmp_path)
     data = str(synth_dir / "data.csv")

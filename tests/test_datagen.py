@@ -1,8 +1,15 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
-from repca import InvalidSpec, SynthSpec, synth_subspace
+from repca import DataMatrix, InvalidSpec, SynthSpec, center_columns, synth_subspace
 from repca.datagen import _draw_raw
+from repca.linalg import procrustes_project
+
+# (m, n, k) of the benchmark's small_grid, tall and cli_csv problems
+BENCHMARK_SHAPES = ((10, 200, 2), (200, 5000, 5), (20, 20000, 3))
 
 
 def test_spec_validation_names_the_field():
@@ -105,3 +112,51 @@ def test_noise_moves_samples_off_span():
     w = basis.values
     off_span = np.linalg.norm(raw - w @ (w.T @ raw), axis=0)
     assert off_span.min() > 1e-3
+
+
+def _reference_draw(spec):
+    """The draw written out plainly: basis @ coeffs + sigma * noise, then
+    the outlier columns overwritten."""
+    rng = np.random.default_rng(spec.seed)
+    basis = procrustes_project(rng.standard_normal((spec.m, spec.k_true)))
+    coeffs = rng.standard_normal((spec.k_true, spec.n))
+    raw = basis @ coeffs + spec.noise_sigma * rng.standard_normal((spec.m, spec.n))
+    n_out = spec.outlier_count
+    if n_out:
+        raw[:, spec.n - n_out:] = spec.outlier_scale * rng.standard_normal((spec.m, n_out))
+    return raw, basis
+
+
+@pytest.mark.parametrize("m, n, k", BENCHMARK_SHAPES)
+@pytest.mark.parametrize("sigma, frac", ((0.1, 0.1), (0.0, 0.1), (0.1, 0.0)))
+def test_draw_matches_the_reference_construction_bit_for_bit(m, n, k, sigma, frac):
+    spec = SynthSpec(m=m, n=n, k_true=k, noise_sigma=sigma, outlier_frac=frac,
+                     outlier_scale=5.0, seed=7)
+    want_raw, want_basis = _reference_draw(spec)
+    raw, basis, mask = _draw_raw(spec)
+    assert raw.tobytes() == want_raw.tobytes()
+    assert basis.values.tobytes() == want_basis.tobytes()
+    assert mask.sum() == spec.outlier_count and mask[n - spec.outlier_count:].all()
+
+    data, basis, synth_mask = synth_subspace(spec)
+    want = center_columns(DataMatrix(want_raw))[0].values
+    assert data.values.tobytes() == want.tobytes()
+    assert data.values.tobytes() == (want_raw - want_raw.mean(axis=1)[:, None]).tobytes()
+    assert data.centered and data.values.flags.c_contiguous
+    assert basis.values.tobytes() == want_basis.tobytes()
+    np.testing.assert_array_equal(synth_mask, mask)
+
+
+@pytest.mark.parametrize("kwargs, name", (
+    (dict(noise_sigma=1e308), "noise_sigma"),  # the noise itself overflows
+    (dict(noise_sigma=1e307), "noise_sigma"),  # finite entries, overflowing row sums
+    (dict(outlier_scale=1e308, outlier_frac=0.5), "outlier_scale"),
+    (dict(outlier_scale=1e307, outlier_frac=0.5), "outlier_scale"),
+    (dict(noise_sigma=1e308, outlier_scale=1e308, outlier_frac=0.5), "noise_sigma"),
+), ids=("noise", "noise_sums", "outliers", "outlier_sums", "both"))
+def test_overflowing_scale_raises_one_named_error(kwargs, name):
+    spec = SynthSpec(m=20, n=5000, k_true=2, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"{name} = {getattr(spec, name):g} is too large")):
+            synth_subspace(spec)

@@ -1,8 +1,13 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from repca import DataMatrix, DimensionMismatch, Projection, RankDeficient, SpectrumGapWarning, center_columns
-from repca.linalg import SymmetricMatrix, _fix_column_signs, procrustes_project, spectral_norm, top_r_eigvecs
+from repca import (DataMatrix, DimensionMismatch, Projection, RankDeficient, SpectrumGapWarning, SynthSpec,
+                   center_columns, synth_subspace)
+from repca.linalg import (CENTERED_ROW_SUM_RTOL, SymmetricMatrix, _fix_column_signs, procrustes_project,
+                          spectral_norm, top_r_eigvecs)
 
 # ---------------------------------------------------------------- wrappers
 
@@ -47,6 +52,68 @@ def test_data_matrix_centered_flag_is_checked():
     DataMatrix(ok, centered=True)
     with pytest.raises(ValueError):
         DataMatrix([[1.0, 2.0]], centered=True)
+
+
+def test_data_matrix_centered_check_scales_by_the_largest_magnitude():
+    # The largest-magnitude entry is negative: the tolerance is n * 9 * rtol.
+    tol = CENTERED_ROW_SUM_RTOL * 3 * 9.0
+    DataMatrix([[-9.0, 4.0, 5.0 + 0.5 * tol]], centered=True)
+    with pytest.raises(ValueError, match="matrix marked centered but a row sums to"):
+        DataMatrix([[-9.0, 4.0, 5.0 + 2.0 * tol]], centered=True)
+    tol = CENTERED_ROW_SUM_RTOL * 2 * 9.0
+    DataMatrix([[9.0, -9.0 + 0.5 * tol]], centered=True)
+    with pytest.raises(ValueError, match="tolerance"):
+        DataMatrix([[9.0, -9.0 + 2.0 * tol]], centered=True)
+
+
+def test_data_matrix_centered_check_on_zeros():
+    DataMatrix(np.zeros((3, 4)), centered=True)
+    DataMatrix(np.full((2, 2), -0.0), centered=True)
+    with pytest.raises(ValueError, match="a row sums to 1.000e-300"):
+        DataMatrix([[0.0, 0.0], [1e-300, 0.0]], centered=True)
+
+
+def test_data_matrix_centered_check_survives_overflowing_row_sums():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="a row sums to inf"):
+            DataMatrix([[1e308, 1e308, -1e300]], centered=True)
+
+
+def test_center_columns_refuses_overflowing_row_sums():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="row sum overflows"):
+            center_columns(DataMatrix([[1e308, 1e308, 1.0], [1.0, 2.0, 3.0]]))
+        centered, mean = center_columns(DataMatrix([[1e307, 1e307, -1e307]]))
+    assert mean[0] == 1e307 / 3 and centered.values[0, 2] == -1e307 - 1e307 / 3
+
+
+def _peak_in_arrays(call, m, n):
+    """Peak traced allocation of ``call()``, in m-by-n float64 arrays."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (m * n * 8)
+
+
+@pytest.mark.parametrize("door, budget", (
+    ("synth_subspace", 2.5), ("DataMatrix_centered", 1.25), ("center_columns", 2.25),
+))
+def test_door_allocations_stay_within_budget(door, budget):
+    """Each door function allocates every m-by-n float array at most once,
+    plus the boolean of its finiteness scan."""
+    m, n = 100, 4000
+    spec = SynthSpec(m=m, n=n, k_true=5, noise_sigma=0.1, outlier_frac=0.1, outlier_scale=5.0, seed=0)
+    centered = synth_subspace(spec)[0].values
+    raw = DataMatrix(centered + 1.0)
+    call = {"synth_subspace": lambda: synth_subspace(spec),
+            "DataMatrix_centered": lambda: DataMatrix(centered, centered=True),
+            "center_columns": lambda: center_columns(raw)}[door]
+    assert _peak_in_arrays(call, m, n) <= budget
 
 
 def test_center_columns_removes_means():
