@@ -13,7 +13,8 @@ checks that can fail on a solver's intermediates (shape, rank, a cut out
 of range, non-finite entries) and skip the copy, the symmetry norm and the
 orthonormality check, which the caller vouches for: the loop hands them
 syrk products, exactly symmetric, and wraps its basis in a ``Projection``
-where it leaves the loop.
+where it leaves the loop.  None warns: ``top_r_eigvecs`` returns a closed
+eigengap at its cut as a flag, for the caller to count or warn about.
 
 Memory at the door: building a ``DataMatrix`` allocates its m-by-n copy
 plus an m-by-n boolean for the finiteness scan, and the centered check
@@ -24,12 +25,11 @@ that boolean.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient, SpectrumGapWarning
+from .errors import DimensionMismatch, RankDeficient
 
 # Row sums of a centered matrix must stay below this, scaled by n * max|entry|.
 CENTERED_ROW_SUM_RTOL = 1e-9
@@ -158,14 +158,18 @@ def _center_rows(values: np.ndarray, out: np.ndarray | None = None) -> tuple[np.
     """``values`` minus each row's mean, written to ``out`` (a fresh array
     when None; ``values`` itself to center in place), and the means.
 
-    Raises ValueError when a row sum overflows, which only entries near the
-    float range can make happen; the caller's ``DataMatrix`` rejects an
-    entry the subtraction pushes past it."""
+    Raises ValueError when a row sum overflows, or when a finite mean moves
+    an entry past the float range (a row of 1.5e308, -1.5e308, -1.5e308);
+    only entries near the float range can make either happen."""
     with np.errstate(over="ignore", invalid="ignore"):
         mean = values.mean(axis=1)
-        if not np.isfinite(mean).all():
-            raise ValueError("cannot center the rows: a row sum overflows the float range")
-        return np.subtract(values, mean[:, None], out=out), mean
+    if not np.isfinite(mean).all():
+        raise ValueError("cannot center the rows: a row sum overflows the float range")
+    try:
+        with np.errstate(over="raise"):
+            return np.subtract(values, mean[:, None], out=out), mean
+    except FloatingPointError:
+        raise ValueError("cannot center the rows: a centered entry overflows the float range") from None
 
 
 def center_columns(data: DataMatrix) -> tuple[DataMatrix, np.ndarray]:
@@ -222,41 +226,35 @@ def _fix_column_signs(vecs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.where(flip, -vecs, vecs))
 
 
-def top_r_eigvecs(matrix: np.ndarray, r: int) -> np.ndarray:
+def top_r_eigvecs(matrix: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
     """Eigenvectors of the symmetric ``matrix`` for its r largest
-    eigenvalues, as an m-by-r array with orthonormal columns.
+    eigenvalues, as an m-by-r array with orthonormal columns, and whether
+    the eigengap at the cut is closed.
 
     Columns are ordered by descending eigenvalue and sign-fixed so the
     result is deterministic.  Only the lower triangle is read, so the
-    caller supplies a symmetric matrix.  When the eigengap at the cut is at
-    or below 1e-10 * |largest eigenvalue| a SpectrumGapWarning is emitted
-    because the subspace is then numerically arbitrary.
+    caller supplies a symmetric matrix.  The gap counts as closed when it
+    is at or below 1e-10 * |largest eigenvalue|: the subspace is then
+    numerically arbitrary.
     """
     a = _square(matrix)
     m = a.shape[0]
     if not 1 <= r <= m:
         raise DimensionMismatch(f"r must be in [1, {m}], got {r}")
     vals, vecs = np.linalg.eigh(a)
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    if r < m and (vals[r - 1] - vals[r]) <= SPECTRUM_GAP_RTOL * abs(vals[0]):
-        warnings.warn(
-            f"eigengap at cut {r} is {vals[r - 1] - vals[r]:.3e}; "
-            "the returned subspace is not well determined",
-            SpectrumGapWarning,
-            stacklevel=2,
-        )
-    return _fix_column_signs(vecs[:, :r])
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    gap_closed = r < m and bool(vals[r - 1] - vals[r] <= SPECTRUM_GAP_RTOL * abs(vals[0]))
+    return _fix_column_signs(vecs[:, :r]), gap_closed
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest absolute eigenvalue of the symmetric ``matrix``, max |eigvalsh(A)|.
+    """Largest absolute eigenvalue of the symmetric ``matrix``: the larger
+    of the top eigenvalue and minus the bottom one, from one LAPACK
+    eigenvalue call.  A zero matrix, of +0.0 or -0.0 entries, gives 0.0.
 
-    The solvers call this on the small m-by-m scatter matrix, where one
-    LAPACK eigenvalue call is accurate to rounding and cheaper than an
-    iterative estimate.  A zero matrix returns 0.0 without a decomposition.
+    The solvers call this on the small m-by-m scatter matrix, where that
+    call is accurate to rounding and cheaper than an iterative estimate.
     """
-    a = _square(matrix)
-    if not a.any():
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(a))))
+    vals = np.linalg.eigvalsh(_square(matrix))
+    # The larger one is never below zero; abs only clears the sign of -0.0.
+    return float(abs(max(vals[-1], -vals[0])))

@@ -23,8 +23,12 @@ overflows, and runs its rounds on plain arrays, building a
                 the extrapolated point V = W + (s-2)/(s+1) (W - W_old).
                 Faster, but without the monotone guarantee.
 * ``irls``      the top-k eigenvectors of M.  Occasional objective
-                increases are kept and counted rather than damped, and
-                near-degenerate eigengaps are counted, not raised.
+                increases are kept and counted rather than damped.
+
+``top_r_eigvecs`` flags a closed eigengap at the cut, and ``fit`` counts
+the flags of its vanilla start and irls steps.  It changes no process-wide
+warnings state, so concurrent fits, on a shared ``DataMatrix`` too, count
+exactly; only ``vanilla_pca``, called on its own, warns.
 
 Convergence is declared when the relative objective change drops to
 ``tol``.  A residual at rounding level (||R||_F <= 1e-12 ||X||_F) also
@@ -135,13 +139,22 @@ def count_monotone_violations(trace) -> int:
     return int(np.sum(arr[1:] > arr[:-1] + slack))
 
 
+def _vanilla_basis(data: DataMatrix, k: int) -> tuple[np.ndarray, bool]:
+    """Top-k eigenvectors of X X^T and whether its eigengap at k is closed."""
+    return top_r_eigvecs(data.values @ data.values.T, k)
+
+
 def vanilla_pca(data: DataMatrix, k: int) -> Projection:
-    """Top-k eigenvectors of X X^T: the squared-Frobenius minimizer."""
+    """Top-k eigenvectors of X X^T: the squared-Frobenius minimizer.
+    Emits SpectrumGapWarning when the eigengap at k is closed."""
     _require_centered(data)
-    m, n = data.shape
-    if not 1 <= k <= min(m, n):
-        raise DimensionMismatch(f"k must be in [1, min(m, n)] = [1, {min(m, n)}], got {k}")
-    return Projection(top_r_eigvecs(data.values @ data.values.T, k))
+    if not 1 <= k <= min(data.shape):
+        raise DimensionMismatch(f"k must be in [1, min(m, n)] = [1, {min(data.shape)}], got {k}")
+    w, gap_closed = _vanilla_basis(data, k)
+    if gap_closed:
+        warnings.warn(f"the eigengap of X X^T at cut {k} is closed; the basis is not well determined",
+                      SpectrumGapWarning, stacklevel=2)
+    return Projection(w)
 
 
 def _require_centered(data: DataMatrix) -> None:
@@ -178,35 +191,23 @@ def _frobenius_norm(x: np.ndarray) -> float:
     return math.sqrt(sq)
 
 
-def _counting_gaps(eigensolve, *args):
-    """``eigensolve(*args)`` and the number of SpectrumGapWarnings it raised,
-    counted instead of shown.  Other warnings meet the caller's filters: an
-    error filter still raises them."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", SpectrumGapWarning)
-        basis = eigensolve(*args)
-    return basis, sum(issubclass(c.category, SpectrumGapWarning) for c in caught)
-
-
-def _initial_basis(data: DataMatrix, k: int, config: SolverConfig) -> tuple[Projection, int]:
+def _initial_basis(data: DataMatrix, k: int, config: SolverConfig) -> tuple[np.ndarray, bool]:
     if config.init == "vanilla":
-        return _counting_gaps(vanilla_pca, data, k)
+        return _vanilla_basis(data, k)
     rng = np.random.default_rng([config.seed, _RANDOM_START_STREAM])
-    return Projection(procrustes_project(rng.standard_normal((data.n_features, k)))), 0
+    return procrustes_project(rng.standard_normal((data.n_features, k))), False
 
 
 def _weights_for(norm: NormSpec, stats: ColumnStats, eps: float) -> np.ndarray:
     return weights_from_stats(stats, norm, eps)
 
 
-# Each step factory returns step(w, scatter) -> (next w, spectrum gap events)
+# Each step factory returns step(w, scatter) -> (next w, eigengap closed)
 # on plain arrays, holding whatever state its variant carries from one round
 # to the next.
 
 def _pgd_step(k: int):
-    def step(w, scatter):
-        return procrustes_project(w + (scatter @ w) / spectral_norm(scatter)), 0
-    return step
+    return lambda w, scatter: (procrustes_project(w + (scatter @ w) / spectral_norm(scatter)), False)
 
 
 def _momentum_step(k: int):
@@ -219,14 +220,12 @@ def _momentum_step(k: int):
         top = spectral_norm(scatter)
         v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
         w_old, s = w, s + 1
-        return procrustes_project(v + (scatter @ v) / top), 0
+        return procrustes_project(v + (scatter @ v) / top), False
     return step
 
 
 def _irls_step(k: int):
-    def step(w, scatter):
-        return _counting_gaps(top_r_eigvecs, scatter, k)
-    return step
+    return lambda w, scatter: top_r_eigvecs(scatter, k)
 
 
 _STEPS = {"pgd": _pgd_step, "momentum": _momentum_step, "irls": _irls_step}
@@ -262,11 +261,12 @@ def fit(
     x = data.values
     floor = SPAN_RTOL * _frobenius_norm(x)
     step = _STEPS[config.variant](k)
-    basis, gap_events = _initial_basis(data, k, config)
-    w = basis.values
+    w, gap_closed = _initial_basis(data, k, config)
+    gap_events = int(gap_closed)
     stats = _basis_stats(x, w, norm)
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
+        basis = Projection(w)
         callback(0, basis, trace[0])
     converged = norm.kind == "fro"  # the vanilla start is its minimizer
     iterations = 0
@@ -275,8 +275,8 @@ def fit(
             converged = True
             break
         d = _weights_for(norm, stats, config.eps)
-        w, gaps = step(w, weighted_scatter(data, d))
-        gap_events += gaps
+        w, gap_closed = step(w, weighted_scatter(data, d))
+        gap_events += gap_closed
         stats = _basis_stats(x, w, norm)
         trace.append(objective_from_stats(stats, norm))
         iterations += 1
@@ -284,7 +284,7 @@ def fit(
             basis = Projection(w)
             callback(iterations, basis, trace[-1])
         converged = check_convergence(trace, config.tol)
-    if iterations and callback is None:
+    if callback is None:
         basis = Projection(w)
     return FitResult(
         projection=basis,

@@ -169,12 +169,18 @@ def test_fit_overflowing_csv_exits_one(tmp_path, capsys):
 
 def test_fit_csv_whose_row_sums_overflow_exits_one(tmp_path, capsys):
     """Centering, or the centered check under --no-center, meets a feature
-    whose sum overflows: one error line, no numpy warning, no output."""
-    path = tmp_path / "huge.csv"
-    path.write_text("1e308,1\n1e308,2\n-1e300,3\n")
+    whose sum overflows, or centering moves an entry past the float range
+    with a finite mean: one error line, no numpy warning, no output."""
+    huge = tmp_path / "huge.csv"
+    huge.write_text("1e308,1\n1e308,2\n-1e300,3\n")
+    lopsided = tmp_path / "lopsided.csv"  # mean -5e307; 1.5e308 - mean overflows
+    lopsided.write_text("1.5e308\n-1.5e308\n-1.5e308\n")
     capsys.readouterr()
-    for name, flags, message in (("center", (), "a row sum overflows"),
-                                 ("no_center", ("--no-center",), "a row sums to inf")):
+    for name, path, flags, message in (
+        ("center", huge, (), "a row sum overflows"),
+        ("no_center", huge, ("--no-center",), "a row sums to inf"),
+        ("center_entry", lopsided, (), "a centered entry overflows"),
+    ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["fit", "--input", str(path), "--k", "1", *flags, "--out", str(tmp_path / name)]) == 1

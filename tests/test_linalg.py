@@ -85,6 +85,9 @@ def test_center_columns_refuses_overflowing_row_sums():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="row sum overflows"):
             center_columns(DataMatrix([[1e308, 1e308, 1.0], [1.0, 2.0, 3.0]]))
+        # the sum and the mean -5e307 are finite, but 1.5e308 + 5e307 is not
+        with pytest.raises(ValueError, match="centered entry overflows"):
+            center_columns(DataMatrix([[1.0, 2.0, 3.0], [1.5e308, -1.5e308, -1.5e308]]))
         centered, mean = center_columns(DataMatrix([[1e307, 1e307, -1e307]]))
     assert mean[0] == 1e307 / 3 and centered.values[0, 2] == -1e307 - 1e307 / 3
 
@@ -197,7 +200,7 @@ def test_procrustes_rejects_rank_deficiency():
 
 
 def test_top_r_eigvecs_on_diagonal_matrix():
-    got = top_r_eigvecs(np.diag([5.0, 3.0, 1.0]), 2)
+    got, _ = top_r_eigvecs(np.diag([5.0, 3.0, 1.0]), 2)
     np.testing.assert_allclose(np.abs(got), np.eye(3)[:, :2], atol=1e-12)
     # sign convention: leading significant entry is nonnegative
     assert got[0, 0] > 0
@@ -211,7 +214,7 @@ def test_top_r_eigvecs_satisfies_eigen_equation():
         a = rng.standard_normal((n, n))
         mat = a + a.T
         r = int(rng.integers(1, n + 1))
-        vecs = top_r_eigvecs(mat, r)
+        vecs, _ = top_r_eigvecs(mat, r)
         vals = np.sort(np.linalg.eigvalsh(mat))[::-1][:r]
         np.testing.assert_allclose(mat @ vecs, vecs * vals, atol=1e-8)
 
@@ -220,22 +223,26 @@ def test_top_r_eigvecs_is_deterministic():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((8, 8))
     mat = a + a.T
-    first = top_r_eigvecs(mat, 3)
-    second = top_r_eigvecs(mat, 3)
+    first, _ = top_r_eigvecs(mat, 3)
+    second, _ = top_r_eigvecs(mat, 3)
     np.testing.assert_array_equal(first, second)
 
 
-def test_top_r_eigvecs_warns_on_closed_gap():
-    with pytest.warns(SpectrumGapWarning):
-        top_r_eigvecs(np.eye(3), 1)
-
-
-def test_top_r_eigvecs_silent_on_clear_gap():
-    import warnings
-
+def test_top_r_eigvecs_flags_closed_gap():
+    """The closed gap comes back as a flag; nothing is warned."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        top_r_eigvecs(np.diag([5.0, 3.0, 1.0]), 1)
+        _, gap_closed = top_r_eigvecs(np.eye(3), 1)
+    assert gap_closed is True
+
+
+def test_top_r_eigvecs_clear_gap_unflagged():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (1, 2, 3):  # r = m has no cut, so no gap to close
+            _, gap_closed = top_r_eigvecs(np.diag([5.0, 3.0, 1.0]), r)
+            assert gap_closed is False
+    assert top_r_eigvecs(np.eye(3), 3)[1] is False
 
 
 def test_fix_column_signs_matches_the_column_loop():
@@ -277,6 +284,10 @@ def test_top_r_eigvecs_rejects_bad_r():
 
 def test_spectral_norm_known_values():
     assert spectral_norm(np.zeros((3, 3))) == 0.0
+    # a zero matrix gives +0.0, whatever the sign of its zeros
+    for n in (1, 2, 3):
+        assert not np.signbit(spectral_norm(np.zeros((n, n))))
+        assert not np.signbit(spectral_norm(np.full((n, n), -0.0)))
     assert spectral_norm(np.diag([-3.0, 2.0])) == 3.0
     assert spectral_norm(np.diag([4.0, 1.0])) == 4.0
 

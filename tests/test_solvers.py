@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -10,6 +12,7 @@ from repca import (
     NormSpec,
     Projection,
     SolverConfig,
+    SpectrumGapWarning,
     SynthSpec,
     center_columns,
     fit,
@@ -185,6 +188,23 @@ def test_vanilla_pca_requires_centered_input():
         vanilla_pca(DataMatrix(np.ones((3, 5))), 1)
 
 
+# X X^T = 2 I: the eigengap at k = 1 is closed.
+_CLOSED_GAP = np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
+
+
+def test_vanilla_pca_warns_on_closed_gap():
+    """Called on its own, vanilla_pca warns about the cut, as the README
+    promises; fit counts the same event instead."""
+    data = DataMatrix(_CLOSED_GAP, centered=True)
+    with pytest.warns(SpectrumGapWarning, match="cut 1 is closed"):
+        basis = vanilla_pca(data, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit(data, 1, NormSpec.fro())
+    assert result.spectrum_gap_events == 1
+    assert result.projection.values.tobytes() == basis.values.tobytes()
+
+
 # ---------------------------------------------------------------- fit paths
 
 
@@ -257,9 +277,9 @@ def test_callback_sees_every_iterate():
 
 @pytest.mark.parametrize("init", ("vanilla", "random"))
 def test_fit_builds_projections_only_at_the_door(monkeypatch, init):
-    """Rounds run on plain arrays: without a callback a fit builds one
-    Projection for its start and one for its result, however many rounds
-    it takes; with one, one more per round, and the last is the result."""
+    """The start and the rounds run on plain arrays: without a callback a
+    fit builds one Projection, its result, however many rounds it takes;
+    with one, one per callback call, and the last is the result."""
     data, _ = _instance(21, m=10, n=200, frac=0.1, scale=5.0)
     built = []
     check = Projection.__post_init__
@@ -269,7 +289,7 @@ def test_fit_builds_projections_only_at_the_door(monkeypatch, init):
         built.clear()
         out = fit(data, 2, NormSpec.l1(), config)
         assert out.iterations >= 10, variant
-        assert len(built) <= 2, variant
+        assert len(built) == 1, variant
         assert built[-1] is out.projection
         built.clear()
         out = fit(data, 2, NormSpec.l1(), config, callback=lambda it, basis, obj: None)
@@ -427,6 +447,35 @@ def test_irls_counts_degenerate_spectra():
         out = fit(data, 1, NormSpec.l1(), SolverConfig(variant="irls", max_iter=20))
     assert out.spectrum_gap_events >= 1
     assert out.converged
+
+
+def test_concurrent_fits_count_gaps_exactly():
+    """fit changes no process-wide warnings state, so fits on two threads
+    sharing one DataMatrix, switched as often as the interpreter allows,
+    each count the closed gap once, and none lets a warning escape (the
+    suite turns a RuntimeWarning into an error)."""
+    data = DataMatrix(_CLOSED_GAP, centered=True)
+    counts, errors = ([], []), []
+
+    def work(out):
+        try:
+            for _ in range(2000):
+                out.append(fit(data, 1, NormSpec.fro()).spectrum_gap_events)
+        except BaseException as exc:  # re-raised below, on the test's thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in counts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert [(len(out), set(out)) for out in counts] == [(2000, {1}), (2000, {1})]
 
 
 def test_robust_fit_recovers_subspace_under_outliers():

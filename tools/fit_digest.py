@@ -12,7 +12,10 @@ The fit set: the 8 planted problems of the benchmark's small_grid size
 (10x200, k = 2, noise 0.1, 10% outliers at scale 5, data seeds 0-7), each
 fitted with every variant, the l1, l2p(1) and l2p(0.5) losses, and the
 vanilla and the random start (seed 3); plus one fit per variant with a
-callback, whose every call is hashed too.  For each fit the digest covers
+callback, whose every call is hashed too; plus the fits that count closed
+eigengaps: the fro fit of a 2x4 matrix with X X^T = 2 I at k = 1, and
+one l1 fit per variant of the symmetric four-point 2x4 matrix, whose
+first reweighted scatter is isotropic.  For each fit the digest covers
 the basis, the objective trace, ``iterations``, ``converged``,
 ``monotone_violations`` and ``spectrum_gap_events``.
 """
@@ -24,12 +27,15 @@ from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
-from repca import NormSpec, SolverConfig, SynthSpec, fit, synth_subspace  # noqa: E402
+import numpy as np  # noqa: E402
+from repca import DataMatrix, NormSpec, SolverConfig, SynthSpec, fit, synth_subspace  # noqa: E402
 
 VARIANTS = ("pgd", "momentum", "irls")
 NORMS = (NormSpec.l1(), NormSpec.l2p(1.0), NormSpec.l2p(0.5))
 STARTS = (("vanilla", 0), ("random", 3))
 K = 2
+CLOSED_GAP = DataMatrix(np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]), centered=True)
+FOUR_POINTS = DataMatrix(np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]), centered=True)
 
 
 def _problem(seed: int):
@@ -64,6 +70,11 @@ def main() -> int:
             h.update(repr((it, obj)).encode())
             h.update(values)
         _update(h, result)
+        fits += 1
+    _update(h, fit(CLOSED_GAP, 1, NormSpec.fro()))
+    fits += 1
+    for variant in VARIANTS:
+        _update(h, fit(FOUR_POINTS, 1, NormSpec.l1(), SolverConfig(variant=variant, max_iter=20)))
         fits += 1
     print(fits, h.hexdigest())
     return 0
