@@ -3,9 +3,9 @@
 Each command turns its flags into one frozen job (``SynthJob``, ``FitJob``
 or ``BenchJob``) and hands it to that command's runner.  A job holds the
 library's own spec objects (``SynthSpec``, ``NormSpec``, ``SolverConfig``),
-whose constructors check every value; the job's ``__post_init__`` checks
-the few rules that span several flags, and ``_check_k`` checks k against
-the loaded data by ``fit``'s own rule.
+whose constructors check every value; ``BenchJob.__post_init__`` checks
+the few rules that span several flags, and ``_check_k`` checks k, once
+the data is loaded, by ``fit``'s own rule.
 
 Every command writes a ``manifest.json`` whose ``config`` is the job as
 nested JSON (``dataclasses.asdict``: ``spec``, ``norm``/``norms`` and
@@ -80,10 +80,6 @@ class FitJob:
     center: bool
     header: bool
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise UsageError(f"k must be at least 1, got {self.k}")
-
 
 @dataclass(frozen=True)
 class BenchJob:
@@ -103,8 +99,6 @@ class BenchJob:
     header: bool
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise UsageError(f"k must be at least 1, got {self.k}")
         if self.repeats < 1:
             raise UsageError(f"repeats must be at least 1, got {self.repeats}")
         if len({norm.kind for norm in self.norms}) < len(self.norms):
@@ -199,10 +193,19 @@ def _write_manifest(out_dir: Path, command: str, job, inputs: dict, outputs: lis
     )
 
 
+def _read_checked(path: str, build, skip_header: bool = False):
+    """``build`` applied to the matrix in ``path``; a ValueError it raises names the file."""
+    arr = read_matrix_csv(path, skip_header=skip_header)
+    try:
+        return build(arr)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_data(job: FitJob | BenchJob) -> DataMatrix:
-    arr = read_matrix_csv(job.input, skip_header=job.header)
-    # without centering, the caller asserts the file is centered; DataMatrix verifies it
-    return center_columns(DataMatrix(arr.T))[0] if job.center else DataMatrix(arr.T, centered=True)
+    def build(arr):  # without centering, the caller asserts the file is centered; DataMatrix verifies it
+        return center_columns(DataMatrix(arr.T))[0] if job.center else DataMatrix(arr.T, centered=True)
+    return _read_checked(job.input, build, job.header)
 
 
 def _trace_record(solver: str, norm: NormSpec, result: FitResult) -> dict:
@@ -327,7 +330,7 @@ def _run_bench(job: BenchJob, out_dir: Path) -> int:
     wins: dict = defaultdict(int)
     if job.input is not None:
         data = _load_data(job)
-        reference = None if job.w_true is None else Projection(read_matrix_csv(job.w_true))
+        reference = None if job.w_true is None else _read_checked(job.w_true, Projection)
     for repeat in range(job.repeats):
         if job.spec is not None:
             data, reference, _ = synth_subspace(replace(job.spec, seed=job.spec.seed + repeat))

@@ -9,8 +9,8 @@ clamp ``eps`` only guards the weight denominators.
 
 Every loss and every weight diagonal is computed from the residual's
 per-column sums, ``column_stats``: the sums of squares and, for l1, the
-sums of |Y|.  There is one formula per loss, shared by the objective,
-the weights, the solvers and ``metrics.evaluate``.  The
+sums of |Y|, and only from those.  There is one formula per loss, shared
+by the objective, the weights, the solvers and ``metrics.evaluate``.  The
 reweighted scatter X diag(d) X^T is built as Z Z^T with
 Z = X diag(sqrt d), a symmetric rank-n update that is exactly symmetric.
 """
@@ -25,8 +25,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec
 from .linalg import DataMatrix, Projection
-
-DEFAULT_EPS = 1e-10
 
 _KINDS = ("fro", "l1", "l2p")
 
@@ -80,16 +78,6 @@ def _project_out(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return r
 
 
-def residual(data: DataMatrix, basis: Projection) -> np.ndarray:
-    """Reconstruction residual X - W (W^T X).
-
-    Callers are expected to center the data first; the residual of an
-    uncentered matrix mixes the mean into every column.
-    """
-    _check_pair(data, basis)
-    return _project_out(data.values, basis.values)
-
-
 class ColumnStats(NamedTuple):
     """Per-column sums of a residual Y."""
 
@@ -127,7 +115,7 @@ def objective_from_stats(stats: ColumnStats, norm: NormSpec) -> float:
 
 
 def weights_from_stats(stats: ColumnStats, norm: NormSpec, eps: float) -> np.ndarray:
-    """The reweighting diagonal of ``norm`` (see ``weights_l1``, ``weights_l2p``)."""
+    """The reweighting diagonal of ``norm``; for l1, tr(Y diag(d) Y^T) = ||Y||_1."""
     if norm.kind == "l1":
         return stats.abs / np.maximum(stats.sq, eps * eps)
     if norm.kind == "l2p":
@@ -140,25 +128,6 @@ def _check_eps(eps: float) -> None:
     lo, hi = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
     if not lo <= eps <= hi:
         raise InvalidSpec(f"eps must be in [{lo:.3g}, {hi:.3g}], got {eps}")
-
-
-def weights_l1(resid: np.ndarray, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Per-sample diagonal for the elementwise l1 loss.
-
-    Column i gets (sum_j |Y_ji|) / max(||Y_i||_2^2, eps^2), which makes
-    tr(Y diag(d) Y^T) equal to ||Y||_1 exactly.  Columns with norm at most
-    eps take the clamped denominator.
-    """
-    _check_eps(eps)
-    norm = NormSpec.l1()
-    return weights_from_stats(column_stats(resid, norm), norm, eps)
-
-
-def weights_l2p(resid: np.ndarray, p: float, eps: float = DEFAULT_EPS) -> np.ndarray:
-    """Per-sample diagonal p * max(||Y_i||_2, eps)^(p-2) for the l2,p loss."""
-    _check_eps(eps)
-    norm = NormSpec.l2p(p)
-    return weights_from_stats(column_stats(resid, norm), norm, eps)
 
 
 def _objective_from_residual(resid: np.ndarray, norm: NormSpec) -> float:

@@ -1,7 +1,8 @@
 """Orthonormal-subspace solvers for the reconstruction losses.
 
-``fit`` takes all three losses.  For fro it returns the closed-form
-minimizer, the vanilla start, and runs no round.  For l1 and l2p it runs
+``fit`` takes all three losses and is the only code that computes a basis.
+For fro it returns the closed-form minimizer, the vanilla start (which
+``vanilla_pca`` returns too), and runs no round.  For l1 and l2p it runs
 one reweighted majorize-minimize (MM) loop.  Each round rebuilds the
 per-sample weight diagonal d from the current residual, forms the
 reweighted scatter M = X diag(d) X^T, and then takes one step that
@@ -139,33 +140,11 @@ def count_monotone_violations(trace) -> int:
     return int(np.sum(arr[1:] > arr[:-1] + slack))
 
 
-def _vanilla_basis(data: DataMatrix, k: int) -> tuple[np.ndarray, bool]:
-    """Top-k eigenvectors of X X^T and whether its eigengap at k is closed."""
-    return top_r_eigvecs(data.values @ data.values.T, k)
-
-
-def vanilla_pca(data: DataMatrix, k: int) -> Projection:
-    """Top-k eigenvectors of X X^T: the squared-Frobenius minimizer.
-    Emits SpectrumGapWarning when the eigengap at k is closed."""
-    _require_centered(data)
-    if not 1 <= k <= min(data.shape):
-        raise DimensionMismatch(f"k must be in [1, min(m, n)] = [1, {min(data.shape)}], got {k}")
-    w, gap_closed = _vanilla_basis(data, k)
-    if gap_closed:
-        warnings.warn(f"the eigengap of X X^T at cut {k} is closed; the basis is not well determined",
-                      SpectrumGapWarning, stacklevel=2)
-    return Projection(w)
-
-
-def _require_centered(data: DataMatrix) -> None:
+def _check_fit_args(data: DataMatrix, k: int, norm: NormSpec, config: SolverConfig) -> SolverConfig:
+    """Check ``fit``'s arguments, k's range only here; return the config,
+    whose start is the vanilla one, the closed-form minimizer, for fro."""
     if not data.centered:
         raise ValueError("data must be centered; run center_columns first")
-
-
-def _check_fit_args(data: DataMatrix, k: int, norm: NormSpec, config: SolverConfig) -> SolverConfig:
-    """Check ``fit``'s arguments; return its config, whose start is the
-    vanilla one, the closed-form minimizer, for the fro loss."""
-    _require_centered(data)
     require_int("k", k)
     if norm.kind == "fro":
         config = replace(config, init="vanilla")
@@ -193,7 +172,7 @@ def _frobenius_norm(x: np.ndarray) -> float:
 
 def _initial_basis(data: DataMatrix, k: int, config: SolverConfig) -> tuple[np.ndarray, bool]:
     if config.init == "vanilla":
-        return _vanilla_basis(data, k)
+        return top_r_eigvecs(data.values @ data.values.T, k)
     rng = np.random.default_rng([config.seed, _RANDOM_START_STREAM])
     return procrustes_project(rng.standard_normal((data.n_features, k))), False
 
@@ -295,3 +274,13 @@ def fit(
         monotone_violations=count_monotone_violations(trace),
         spectrum_gap_events=gap_events,
     )
+
+
+def vanilla_pca(data: DataMatrix, k: int) -> Projection:
+    """``fit`` with the fro loss: the top-k eigenvectors of X X^T.  Emits
+    SpectrumGapWarning when the eigengap at k is closed."""
+    result = fit(data, k, NormSpec.fro())
+    if result.spectrum_gap_events:
+        warnings.warn(f"the eigengap of X X^T at cut {k} is closed; the basis is not well determined",
+                      SpectrumGapWarning, stacklevel=2)
+    return result.projection

@@ -266,6 +266,9 @@ def test_fit_runtime_failures_exit_one(tmp_path):
     out = str(tmp_path / "f")
     assert main(["fit", "--input", str(tmp_path / "missing.csv"),
                  "--k", "1", "--out", out]) == 1
+    # k is checked against the data, so only once the file is read
+    assert main(["fit", "--input", str(tmp_path / "missing.csv"),
+                 "--k", "0", "--out", out]) == 1
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3\n")
     assert main(["fit", "--input", str(bad), "--k", "1", "--out", out]) == 1
@@ -282,10 +285,13 @@ def test_fit_runtime_failures_exit_one(tmp_path):
     (b" \n\t\n", "no data rows"),
     (b"1,2\n3,\xc3\xa9\n", "line 2: byte 0xc3 is not ASCII"),
     (b"1,2\r3,4\r\n\n5,\xff\n", "line 4: byte 0xff is not ASCII"),
-), ids=("empty", "blank_lines", "whitespace_lines", "utf8", "mixed_line_ends"))
+    (b"1,2\nnan,3\n4,5\n", "DataMatrix.values contains non-finite entries"),
+    (b"1,2\n-inf,3\n4,5\n", "DataMatrix.values contains non-finite entries"),
+), ids=("empty", "blank_lines", "whitespace_lines", "utf8", "mixed_line_ends", "nan", "inf"))
 def test_fit_unreadable_csv_exits_one_with_one_line(tmp_path, capsys, text, message):
-    """A file without data or with a byte outside ASCII is refused with one
-    error line that names the file, and no library warning reaches stderr."""
+    """A file without data, with a byte outside ASCII or with a non-finite
+    value is refused with one error line that names the file, and no
+    library warning reaches stderr."""
     path = tmp_path / "data.csv"
     path.write_bytes(text)
     capsys.readouterr()
@@ -338,7 +344,7 @@ def test_bench_synthesized_instances(tmp_path):
     }
 
 
-def test_bench_external_input(tmp_path):
+def test_bench_external_input(tmp_path, capsys):
     synth_dir = _synth(tmp_path)
     out = tmp_path / "bench_ext"
     code = main(["bench", "--input", str(synth_dir / "data.csv"), "--k", "2",
@@ -351,6 +357,16 @@ def test_bench_external_input(tmp_path):
                  "--repeats", "1", "--max-iter", "100", "--out", str(with_truth)])
     assert code == 0
     assert (with_truth / "wins.json").exists()
+    # a --w-true value the basis check refuses is reported with the file's name
+    basis = read_matrix_csv(synth_dir / "w_true.csv")
+    basis[1, 0] = np.nan
+    bad = tmp_path / "bad_w_true.csv"
+    write_matrix_csv(bad, basis)
+    capsys.readouterr()
+    assert main(["bench", "--input", str(synth_dir / "data.csv"), "--w-true", str(bad), "--k", "2",
+                 "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: Projection.values contains non-finite entries\n"
+    assert not (tmp_path / "bad").exists()
 
 
 def test_bench_flag_validation(tmp_path):

@@ -1,18 +1,12 @@
 import numpy as np
 import pytest
 
-from repca import DataMatrix, DimensionMismatch, InvalidSpec, NormSpec, Projection, objective_value
-from repca.objectives import (
-    column_stats,
-    objective_from_stats,
-    residual,
-    weighted_scatter,
-    weights_from_stats,
-    weights_l1,
-    weights_l2p,
-)
+from repca import DataMatrix, DimensionMismatch, InvalidSpec, NormSpec, Projection, SolverConfig, objective_value
+from repca.objectives import _project_out, column_stats, objective_from_stats, weighted_scatter, weights_from_stats
 
 E1 = Projection(np.array([[1.0], [0.0]]))
+EPS = SolverConfig().eps
+L1 = NormSpec.l1()
 
 
 def _tangent(rng, basis):
@@ -61,21 +55,24 @@ def test_norm_spec_validates_p():
 
 
 def test_residual_is_orthogonal_to_basis():
+    """The residual every round forms, X - W (W^T X), leaving X unchanged."""
     rng = np.random.default_rng(0)
     for _ in range(20):
         m = int(rng.integers(2, 10))
         n = int(rng.integers(1, 15))
         k = int(rng.integers(1, m + 1))
-        data = DataMatrix(rng.standard_normal((m, n)))
+        x = rng.standard_normal((m, n))
+        before = x.copy()
         q, _ = np.linalg.qr(rng.standard_normal((m, k)))
-        r = residual(data, Projection(q))
+        r = _project_out(x, q)
         np.testing.assert_allclose(q.T @ r, 0.0, atol=1e-10)
+        assert np.array_equal(x, before)
 
 
 def test_residual_dimension_mismatch():
     data = DataMatrix(np.ones((3, 2)))
     with pytest.raises(DimensionMismatch):
-        residual(data, E1)
+        objective_value(data, E1, L1)
 
 
 # ------------------------------------------------------------------ weights
@@ -84,36 +81,39 @@ def test_residual_dimension_mismatch():
 def test_weights_l1_hand_value():
     # column (3, -4): entry-sum 7, squared norm 25
     resid = np.array([[3.0], [-4.0]])
-    np.testing.assert_allclose(weights_l1(resid), [7.0 / 25.0])
+    np.testing.assert_allclose(weights_from_stats(column_stats(resid, L1), L1, EPS), [7.0 / 25.0])
 
 
 def test_weights_l1_zero_column_is_zero():
     resid = np.array([[0.0, 3.0], [0.0, -4.0]])
-    w = weights_l1(resid)
+    w = weights_from_stats(column_stats(resid, L1), L1, EPS)
     assert w[0] == 0.0
     assert w[1] == pytest.approx(0.28)
 
 
 def test_weights_l2p_hand_values():
     resid = np.array([[3.0], [4.0]])
-    np.testing.assert_allclose(weights_l2p(resid, 1.0), [0.2])
-    np.testing.assert_allclose(weights_l2p(resid, 2.0), [2.0])
-    np.testing.assert_allclose(weights_l2p(resid, 0.5), [0.5 * 5.0 ** (-1.5)])
+    for p, want in ((1.0, 0.2), (2.0, 2.0), (0.5, 0.5 * 5.0 ** (-1.5))):
+        norm = NormSpec.l2p(p)
+        np.testing.assert_allclose(weights_from_stats(column_stats(resid, norm), norm, EPS), [want])
 
 
 def test_weights_l2p_clamps_tiny_columns():
     resid = np.zeros((2, 1))
-    assert weights_l2p(resid, 1.0, eps=1e-10)[0] == pytest.approx(1e10)
+    norm = NormSpec.l2p(1.0)
+    assert weights_from_stats(column_stats(resid, norm), norm, 1e-10)[0] == pytest.approx(1e10)
     # p = 2 has exponent zero, so the clamp changes nothing
-    assert weights_l2p(resid, 2.0)[0] == pytest.approx(2.0)
+    norm = NormSpec.l2p(2.0)
+    assert weights_from_stats(column_stats(resid, norm), norm, EPS)[0] == pytest.approx(2.0)
 
 
 def test_weights_are_nonnegative():
     rng = np.random.default_rng(1)
     resid = rng.standard_normal((5, 30))
-    assert np.all(weights_l1(resid) >= 0.0)
+    assert np.all(weights_from_stats(column_stats(resid, L1), L1, EPS) >= 0.0)
     for p in (0.5, 1.0, 1.7, 2.0):
-        assert np.all(weights_l2p(resid, p) > 0.0)
+        norm = NormSpec.l2p(p)
+        assert np.all(weights_from_stats(column_stats(resid, norm), norm, EPS) > 0.0)
 
 
 # --------------------------------------------------------------- objectives
@@ -132,7 +132,7 @@ def test_trace_identity_for_entrywise_sum():
     rng = np.random.default_rng(2)
     for _ in range(50):
         y = rng.standard_normal((int(rng.integers(2, 20)), int(rng.integers(2, 20))))
-        d = weights_l1(y)
+        d = weights_from_stats(column_stats(y, L1), L1, EPS)
         tr = float(np.trace((y * d) @ y.T))
         assert tr == pytest.approx(float(np.abs(y).sum()), rel=1e-12)
 
@@ -142,7 +142,8 @@ def test_trace_identity_for_columnwise_sum():
     rng = np.random.default_rng(3)
     for p in (0.5, 1.0, 1.5, 2.0):
         y = rng.standard_normal((6, 25))
-        d = weights_l2p(y, p)
+        norm = NormSpec.l2p(p)
+        d = weights_from_stats(column_stats(y, norm), norm, EPS)
         tr = float(np.trace((y * d) @ y.T))
         want = p * float((np.linalg.norm(y, axis=0) ** p).sum())
         assert tr == pytest.approx(want, rel=1e-12)
@@ -212,10 +213,9 @@ def test_gradient_matches_surrogate_slope_entrywise():
         n = int(rng.integers(4, 20))
         k = int(rng.integers(1, m))
         x = rng.standard_normal((m, n))
-        data = DataMatrix(x)
         q, _ = np.linalg.qr(rng.standard_normal((m, k)))
         basis = Projection(q)
-        d = weights_l1(residual(data, basis))
+        d = weights_from_stats(column_stats(_project_out(x, q), L1), L1, EPS)
         g = _surrogate_slope(x, q, d, 2.0)
         delta = _tangent(rng, basis)
 
@@ -236,10 +236,10 @@ def test_gradient_matches_true_columnwise_loss():
         for _ in range(10):
             m, n, k = 8, 30, 2
             x = rng.standard_normal((m, n))
-            data = DataMatrix(x)
             q, _ = np.linalg.qr(rng.standard_normal((m, k)))
             basis = Projection(q)
-            d = weights_l2p(residual(data, basis), p)
+            norm = NormSpec.l2p(p)
+            d = weights_from_stats(column_stats(_project_out(x, q), norm), norm, EPS)
             g = _surrogate_slope(x, q, d, 1.0)
             delta = _tangent(rng, basis)
 
@@ -256,7 +256,7 @@ def test_gradient_hand_value():
     # X = I2, W = e1: residual keeps only the second coordinate, so the
     # second sample carries weight 1 (l1) and the scatter is diag(0, 1).
     data = DataMatrix(np.eye(2))
-    d = weights_l1(residual(data, E1))
+    d = weights_from_stats(column_stats(_project_out(data.values, E1.values), L1), L1, EPS)
     np.testing.assert_allclose(d, [0.0, 1.0])
     g = _surrogate_slope(data.values, E1.values, d, 2.0)
     np.testing.assert_allclose(g, [[0.0], [0.0]])

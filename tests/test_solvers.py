@@ -21,6 +21,7 @@ from repca import (
     synth_subspace,
     vanilla_pca,
 )
+from repca.linalg import top_r_eigvecs
 from repca.solvers import VARIANTS, check_convergence, count_monotone_violations
 
 
@@ -78,6 +79,9 @@ def test_counts_must_be_integers(field, value):
     with pytest.raises(InvalidSpec, match=f"^{field} must be an integer"):
         config = SolverConfig(init="random", max_iter=counts["max_iter"], seed=counts["seed"])
         fit(data, counts["k"], NormSpec.l1(), config)
+    if field == "k":
+        with pytest.raises(InvalidSpec, match="^k must be an integer"):
+            vanilla_pca(data, value)
 
 
 def test_counts_accept_numpy_integers():
@@ -97,7 +101,7 @@ def test_fit_fro_is_the_closed_form(variant, init):
     calls = []
     out = fit(data, 2, NormSpec.fro(), SolverConfig(variant=variant, init=init, seed=3),
               callback=lambda it, basis, obj: calls.append((it, basis, obj)))
-    want = vanilla_pca(data, 2)
+    want = Projection(top_r_eigvecs(data.values @ data.values.T, 2)[0])
     assert out.projection.values.tobytes() == want.values.tobytes()
     assert out.objective_trace.tolist() == [objective_value(data, want, NormSpec.fro())]
     assert (out.iterations, out.converged, out.monotone_violations, out.spectrum_gap_events) \
