@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate synthetic low-rank data with outliers")
     _add_spec_flags(synth, required=True)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=int, default=SynthSpec.seed)
     synth.add_argument("--header", action="store_true", help="write a header row to data.csv")
     synth.add_argument("--out", required=True, help="output directory")
     synth.set_defaults(func=cmd_synth)
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reconstruction loss (fro solves vanilla PCA directly)")
     fit_p.add_argument("--p", type=float, default=None,
                        help="exponent for --norm l2p, in (0, 2] (default 1)")
-    fit_p.add_argument("--solver", choices=VARIANTS, default="pgd")
+    fit_p.add_argument("--solver", choices=VARIANTS, default=SolverConfig.variant)
     _add_solver_flags(fit_p)
     fit_p.add_argument("--no-center", action="store_true", dest="no_center",
                        help="input is already centered; fail if it is not")
@@ -493,23 +493,26 @@ def _add_spec_flags(sp: argparse.ArgumentParser, required: bool) -> None:
     sp.add_argument("--n", type=int, required=required, help="number of samples")
     sp.add_argument("--k-true", type=int, required=required, dest="k_true",
                     help="dimension of the true subspace")
-    sp.add_argument("--noise", type=float, default=0.0, help="inlier noise sigma")
-    sp.add_argument("--outlier-frac", type=float, default=0.0, dest="outlier_frac",
-                    help="fraction of samples replaced by outliers, in [0, 1)")
-    sp.add_argument("--outlier-scale", type=float, default=1.0, dest="outlier_scale",
-                    help="standard deviation of outlier entries")
+    sp.add_argument("--noise", type=float, default=SynthSpec.noise_sigma,
+                    help="inlier noise sigma (default %(default)s)")
+    sp.add_argument("--outlier-frac", type=float, default=SynthSpec.outlier_frac, dest="outlier_frac",
+                    help="fraction of samples replaced by outliers, in [0, 1) (default %(default)s)")
+    sp.add_argument("--outlier-scale", type=float, default=SynthSpec.outlier_scale, dest="outlier_scale",
+                    help="standard deviation of outlier entries (default %(default)s)")
 
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--max-iter", type=int, default=500, dest="max_iter",
-                    help="iteration cap (default 500)")
-    sp.add_argument("--tol", type=float, default=1e-8,
-                    help="relative objective-change stopping threshold (default 1e-8)")
-    sp.add_argument("--eps", type=float, default=1e-10,
-                    help="residual-norm clamp for the weight denominators (default 1e-10)")
-    sp.add_argument("--init", choices=INITS, default="vanilla",
-                    help="starting basis: vanilla PCA or a seeded random orthonormal matrix")
-    sp.add_argument("--seed", type=int, default=0,
+    """The ``SolverConfig`` flags but --solver, defaulting to its fields' defaults."""
+    sp.add_argument("--max-iter", type=int, default=SolverConfig.max_iter, dest="max_iter",
+                    help="iteration cap (default %(default)s)")
+    sp.add_argument("--tol", type=float, default=SolverConfig.tol,
+                    help="relative objective-change stopping threshold (default %(default)s)")
+    sp.add_argument("--eps", type=float, default=SolverConfig.eps,
+                    help="residual-norm clamp for the weight denominators (default %(default)s)")
+    sp.add_argument("--init", choices=INITS, default=SolverConfig.init,
+                    help="starting basis: vanilla PCA or a seeded random orthonormal matrix"
+                         " (default %(default)s)")
+    sp.add_argument("--seed", type=int, default=SolverConfig.seed,
                     help="seed for --init random (bench: and for synthesis; repeat i adds i)")
 
 

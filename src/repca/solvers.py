@@ -181,35 +181,6 @@ def _weights_for(norm: NormSpec, stats: ColumnStats, eps: float) -> np.ndarray:
     return weights_from_stats(stats, norm, eps)
 
 
-# Each step factory returns step(w, scatter) -> (next w, eigengap closed)
-# on plain arrays, holding whatever state its variant carries from one round
-# to the next.
-
-def _pgd_step(k: int):
-    return lambda w, scatter: (procrustes_project(w + (scatter @ w) / spectral_norm(scatter)), False)
-
-
-def _momentum_step(k: int):
-    w_old, s = None, 1
-
-    def step(w, scatter):
-        nonlocal w_old, s
-        if w_old is None:  # W_old starts equal to W: a plain gradient step
-            w_old = w
-        top = spectral_norm(scatter)
-        v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
-        w_old, s = w, s + 1
-        return procrustes_project(v + (scatter @ v) / top), False
-    return step
-
-
-def _irls_step(k: int):
-    return lambda w, scatter: top_r_eigvecs(scatter, k)
-
-
-_STEPS = {"pgd": _pgd_step, "momentum": _momentum_step, "irls": _irls_step}
-
-
 def fit(
     data: DataMatrix,
     k: int,
@@ -239,8 +210,8 @@ def fit(
     start = time.perf_counter()
     x = data.values
     floor = SPAN_RTOL * _frobenius_norm(x)
-    step = _STEPS[config.variant](k)
     w, gap_closed = _initial_basis(data, k, config)
+    w_old = w  # momentum's previous iterate: round 1 is a plain pgd step
     gap_events = int(gap_closed)
     stats = _basis_stats(x, w, norm)
     trace = [objective_from_stats(stats, norm)]
@@ -253,9 +224,16 @@ def fit(
         if math.sqrt(stats.sq.sum()) <= floor:
             converged = True
             break
-        d = _weights_for(norm, stats, config.eps)
-        w, gap_closed = step(w, weighted_scatter(data, d))
-        gap_events += gap_closed
+        scatter = weighted_scatter(data, _weights_for(norm, stats, config.eps))
+        if config.variant == "irls":
+            w, gap_closed = top_r_eigvecs(scatter, k)
+            gap_events += gap_closed
+        else:
+            v = w
+            if config.variant == "momentum":
+                s = iterations + 1
+                v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
+            w, w_old = procrustes_project(v + (scatter @ v) / spectral_norm(scatter)), w
         stats = _basis_stats(x, w, norm)
         trace.append(objective_from_stats(stats, norm))
         iterations += 1

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repca import DataMatrix, NormSpec, SolverConfig, center_columns, fit
-from repca.cli import SUMMARY_HEADER, main
+from repca import DataMatrix, NormSpec, SolverConfig, SynthSpec, center_columns, fit
+from repca.cli import SUMMARY_HEADER, _solver_config, _synth_spec, build_parser, main
 from repca.csvio import read_matrix_csv, write_matrix_csv
 
 
@@ -216,6 +216,17 @@ def test_out_of_memory_exits_one_with_one_line(tmp_path, capsys, monkeypatch, co
     capsys.readouterr()
     assert main(_run_argv(command, None, tmp_path / "out")) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_flag_defaults_are_the_dataclass_defaults():
+    parse = build_parser().parse_args
+    spec = ["--m", "10", "--n", "200", "--k-true", "2", "--out", "o"]
+    ns = parse(["fit", "--input", "x.csv", "--k", "2", "--out", "o"])
+    assert _solver_config(ns, ns.solver) == SolverConfig()
+    assert _synth_spec(parse(["synth", *spec])) == SynthSpec(10, 200, 2)
+    ns = parse(["bench", *spec])
+    assert _solver_config(ns, SolverConfig.variant) == SolverConfig()
+    assert _synth_spec(ns) == SynthSpec(10, 200, 2)
 
 
 def test_fit_flag_validation(tmp_path):

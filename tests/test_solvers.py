@@ -21,7 +21,8 @@ from repca import (
     synth_subspace,
     vanilla_pca,
 )
-from repca.linalg import top_r_eigvecs
+from repca.linalg import procrustes_project, spectral_norm, top_r_eigvecs
+from repca.objectives import column_stats, objective_from_stats, weighted_scatter, weights_from_stats
 from repca.solvers import VARIANTS, check_convergence, count_monotone_violations
 
 
@@ -255,16 +256,36 @@ def test_random_start_is_not_the_planted_basis(seed):
     assert principal_angles(starts[0], w_true)[-1] > 0.5
 
 
-def test_momentum_first_step_equals_plain_step():
-    """With W_old = W_0 the extrapolation vanishes, so one momentum round
-    reproduces one plain gradient round exactly."""
-    data, _ = _instance(6, frac=0.05, scale=3.0)
-    one = SolverConfig(variant="pgd", max_iter=1, tol=0.0)
-    one_m = SolverConfig(variant="momentum", max_iter=1, tol=0.0)
-    a = fit(data, 2, NormSpec.l1(), one)
-    b = fit(data, 2, NormSpec.l1(), one_m)
-    np.testing.assert_array_equal(a.projection.values, b.projection.values)
-    np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
+@pytest.mark.parametrize("norm", (NormSpec.l1(), NormSpec.l2p(0.5)), ids=("l1", "l2p0.5"))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_replays_from_the_building_blocks(variant, norm):
+    """Four rounds rebuilt from the building blocks equal ``fit`` byte
+    for byte.  Round 3 is the first whose momentum coefficient, 1/4, is
+    nonzero; in round 1 the extrapolation vanishes (W_old = W_0), so that
+    round is a plain gradient step."""
+    data, _ = _instance(0, m=10, n=200, k=2, frac=0.1, scale=5.0)
+    config = SolverConfig(variant=variant, max_iter=4, tol=0.0)
+    x = data.values
+    w = w_old = top_r_eigvecs(x @ x.T, 2)[0]
+    stats = column_stats(x - w @ (w.T @ x), norm)
+    trace = [objective_from_stats(stats, norm)]
+    for s in range(1, 5):
+        scatter = weighted_scatter(data, weights_from_stats(stats, norm, config.eps))
+        if variant == "irls":
+            w = top_r_eigvecs(scatter, 2)[0]
+        else:
+            v = w
+            if variant == "momentum":
+                v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
+                if s == 1:
+                    np.testing.assert_array_equal(v, w)
+            w, w_old = procrustes_project(v + (scatter @ v) / spectral_norm(scatter)), w
+        stats = column_stats(x - w @ (w.T @ x), norm)
+        trace.append(objective_from_stats(stats, norm))
+    out = fit(data, 2, norm, config)
+    assert out.iterations == 4
+    np.testing.assert_array_equal(out.projection.values, w)
+    np.testing.assert_array_equal(out.objective_trace, trace)
 
 
 def test_callback_sees_every_iterate():
