@@ -25,7 +25,6 @@ import json
 import sys
 import types
 import typing
-from collections import defaultdict
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -101,6 +100,8 @@ class BenchJob:
     def __post_init__(self) -> None:
         if self.repeats < 1:
             raise UsageError(f"repeats must be at least 1, got {self.repeats}")
+        if not self.norms:
+            raise UsageError("bench needs at least one norm")
         if len({norm.kind for norm in self.norms}) < len(self.norms):
             raise UsageError("bench takes each norm kind at most once")
         if self.solver.variant != "pgd":
@@ -208,6 +209,14 @@ def _load_data(job: FitJob | BenchJob) -> DataMatrix:
     return _read_checked(job.input, build, job.header)
 
 
+def _load_basis(path: str, m: int) -> Projection:
+    def build(arr):
+        if arr.shape[0] != m:
+            raise ValueError(f"the basis has {arr.shape[0]} rows, but the data has {m} features")
+        return Projection(arr)
+    return _read_checked(path, build)
+
+
 def _trace_record(solver: str, norm: NormSpec, result: FitResult) -> dict:
     return {
         "solver": solver,
@@ -221,11 +230,12 @@ def _trace_record(solver: str, norm: NormSpec, result: FitResult) -> dict:
     }
 
 
-def _report_record(solver: str, norm: NormSpec, result: FitResult, report) -> dict:
-    angles = None if report.angles_rad is None else [float(a) for a in report.angles_rad]
-    return {"solver": solver, "norm": norm.kind, "p": norm.p, **asdict(report),
-            "angles_rad": angles, "iterations": result.iterations,
-            "wall_time_ms": result.wall_time_ms, "max_angle_rad": report.max_angle_rad}
+def _report_record(run: dict) -> dict:
+    norm, result, report = run["norm"], run["result"], run["report"]
+    return {"repeat": run["repeat"], "solver": run["solver"], "norm": norm.kind, "p": norm.p,
+            **asdict(report), "angles_rad": [float(a) for a in report.angles_rad],
+            "iterations": result.iterations, "wall_time_ms": result.wall_time_ms,
+            "max_angle_rad": report.max_angle_rad}
 
 
 # ---------------------------------------------------------------- flags
@@ -307,70 +317,56 @@ def cmd_fit(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- bench
 
 
-def _bench_once(data: DataMatrix, reference, job: BenchJob, repeat: int) -> list[tuple]:
-    """One repeat: (solver, norm, result, report) for vanilla PCA, then for
-    each robust solver per requested norm.  Angles are measured to
-    ``reference``, or to the vanilla basis when there is none."""
-    fro = NormSpec.fro()
-    van = fit(data, job.k, fro, job.solver)
-    ref = reference if reference is not None else van.projection
-    runs = [("vanilla", fro, van, evaluate(data, van.projection, ref, fro))]
-    for norm in job.norms:
-        for variant in VARIANTS:
-            config = replace(job.solver, variant=variant, seed=job.solver.seed + repeat)
-            result = fit(data, job.k, norm, config)
-            runs.append((variant, norm, result, evaluate(data, result.projection, ref, norm)))
-    return runs
-
-
 def _run_bench(job: BenchJob, out_dir: Path) -> int:
-    traces: list[dict] = []
-    reports: list[dict] = []
-    rows: dict = defaultdict(list)
-    wins: dict = defaultdict(int)
+    """Each repeat fits vanilla PCA, then every variant under each norm, and scores
+    each fit by its angles to the true basis, or to the repeat's vanilla basis without one."""
+    runs: list[dict] = []
+    fro = NormSpec.fro()
     if job.input is not None:
         data = _load_data(job)
-        reference = None if job.w_true is None else _read_checked(job.w_true, Projection)
+        reference = None if job.w_true is None else _load_basis(job.w_true, data.shape[0])
     for repeat in range(job.repeats):
         if job.spec is not None:
             data, reference, _ = synth_subspace(replace(job.spec, seed=job.spec.seed + repeat))
-        _check_k(data, job.k, NormSpec.fro(), job.solver)
-        runs = _bench_once(data, reference, job, repeat)
-        van_angle = runs[0][3].max_angle_rad
-        for solver, norm, result, rep in runs:
-            traces.append({"repeat": repeat, **_trace_record(solver, norm, result)})
-            reports.append({"repeat": repeat, **_report_record(solver, norm, result, rep)})
-            rows[(solver, norm.kind, norm.p)].append(
-                (result.objective_trace[-1], result.iterations, result.wall_time_ms, rep.max_angle_rad))
-            if solver != "vanilla":
-                wins[f"{solver}:{norm.kind}"] += rep.max_angle_rad < van_angle
+        _check_k(data, job.k, fro, job.solver)
+        vanilla = fit(data, job.k, fro, job.solver)
+        ref = vanilla.projection if reference is None else reference
+        runs.append({"repeat": repeat, "solver": "vanilla", "norm": fro, "result": vanilla,
+                     "report": evaluate(data, vanilla.projection, ref, fro)})
+        for norm in job.norms:
+            for variant in VARIANTS:
+                config = replace(job.solver, variant=variant, seed=job.solver.seed + repeat)
+                result = fit(data, job.k, norm, config)
+                runs.append({"repeat": repeat, "solver": variant, "norm": norm, "result": result,
+                             "report": evaluate(data, result.projection, ref, norm)})
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "reports.json", reports)
-    _write_json(out_dir / "traces.json", traces)
+    _write_json(out_dir / "reports.json", [_report_record(run) for run in runs])
+    _write_json(out_dir / "traces.json", [{"repeat": run["repeat"], **_trace_record(
+        run["solver"], run["norm"], run["result"])} for run in runs])
 
+    groups: dict[tuple[str, NormSpec], list[dict]] = {}  # in order of first appearance
+    for run in runs:
+        groups.setdefault((run["solver"], run["norm"]), []).append(run)
+    vanilla_angles = [run["report"].max_angle_rad for run in groups[("vanilla", fro)]]
     lines = [SUMMARY_HEADER]
-    for (solver, kind, p), entries in rows.items():
-        objs, iters, walls, angles = zip(*entries)
-        p_text = "" if p is None else FLOAT_FORMAT % p
-        angle_mean = float(np.mean([a for a in angles if a is not None] or [0.0]))
-        lines.append(",".join([
-            solver, kind, p_text,
-            FLOAT_FORMAT % float(np.mean(objs)),
-            FLOAT_FORMAT % float(np.mean(iters)),
-            FLOAT_FORMAT % float(np.mean(walls)),
-            FLOAT_FORMAT % angle_mean,
-        ]))
+    fractions = {}
+    for (solver, norm), group in groups.items():
+        means = [np.mean([run["result"].objective_trace[-1] for run in group]),
+                 np.mean([run["result"].iterations for run in group]),
+                 np.mean([run["result"].wall_time_ms for run in group]),
+                 np.mean([run["report"].max_angle_rad for run in group])]
+        p_text = "" if norm.p is None else FLOAT_FORMAT % norm.p
+        lines.append(",".join([solver, norm.kind, p_text, *(FLOAT_FORMAT % mean for mean in means)]))
+        if solver != "vanilla":
+            wins = sum(run["report"].max_angle_rad < vanilla_angles[run["repeat"]] for run in group)
+            fractions[f"{solver}:{norm.kind}"] = wins / job.repeats
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
 
     outputs = ["reports.json", "traces.json", "summary.csv"]
     if job.spec is not None or job.w_true is not None:
-        fractions = {key: count / job.repeats for key, count in wins.items()}
-        _write_json(out_dir / "wins.json", {
-            "repeats": job.repeats,
-            "reference": "w_true",
-            "beats_vanilla_fraction": fractions,
-        })
+        _write_json(out_dir / "wins.json", {"repeats": job.repeats, "reference": "w_true",
+                                            "beats_vanilla_fraction": fractions})
         outputs.append("wins.json")
         for key in sorted(fractions):
             print(f"{key} beats vanilla on angle to the true basis in "

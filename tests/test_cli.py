@@ -8,7 +8,7 @@ import pytest
 
 from repca import DataMatrix, NormSpec, SolverConfig, SynthSpec, center_columns, fit
 from repca.cli import SUMMARY_HEADER, _solver_config, _synth_spec, build_parser, main
-from repca.csvio import read_matrix_csv, write_matrix_csv
+from repca.csvio import FLOAT_FORMAT, read_matrix_csv, write_matrix_csv
 
 
 def _synth(tmp_path, name="synth", extra=()):
@@ -330,6 +330,41 @@ def test_fit_no_center_trusts_but_verifies(tmp_path):
 # -------------------------------------------------------------------- bench
 
 
+def _bench_key(record):
+    return record["solver"], record["norm"], record["p"]
+
+
+def _check_bench_agrees(out):
+    """summary.csv holds the means over repeats of traces.json and
+    reports.json, and wins.json the fraction of repeats in which each robust
+    fit's largest angle is below that repeat's vanilla angle."""
+    traces = json.loads((out / "traces.json").read_text())
+    reports = json.loads((out / "reports.json").read_text())
+    rows = (out / "summary.csv").read_text().splitlines()[1:]
+    keys = list(dict.fromkeys(_bench_key(t) for t in traces))
+    assert len(rows) == len(keys)
+    for row, (solver, kind, p) in zip(rows, keys):
+        fits = [t for t in traces if _bench_key(t) == (solver, kind, p)]
+        scores = [r for r in reports if _bench_key(r) == (solver, kind, p)]
+        means = [np.mean([t["objective"][-1] for t in fits]),
+                 np.mean([t["iterations"] for t in fits]),
+                 np.mean([t["wall_time_ms"] for t in fits]),
+                 np.mean([r["max_angle_rad"] for r in scores])]
+        p_text = "" if p is None else FLOAT_FORMAT % p
+        assert row == ",".join([solver, kind, p_text, *(FLOAT_FORMAT % m for m in means)])
+
+    wins = json.loads((out / "wins.json").read_text())
+    repeats = wins["repeats"]
+    vanilla = {r["repeat"]: r["max_angle_rad"] for r in reports if r["solver"] == "vanilla"}
+    assert sorted(vanilla) == list(range(repeats))
+    counts = {}
+    for r in reports:
+        if r["solver"] != "vanilla":
+            key = f"{r['solver']}:{r['norm']}"
+            counts[key] = counts.get(key, 0) + (r["max_angle_rad"] < vanilla[r["repeat"]])
+    assert wins["beats_vanilla_fraction"] == {key: count / repeats for key, count in counts.items()}
+
+
 def test_bench_synthesized_instances(tmp_path):
     out = tmp_path / "bench"
     code = main(["bench", "--m", "6", "--n", "60", "--k-true", "2",
@@ -353,6 +388,20 @@ def test_bench_synthesized_instances(tmp_path):
     assert set(wins["beats_vanilla_fraction"]) == {
         "pgd:l1", "momentum:l1", "irls:l1", "pgd:l2p", "momentum:l2p", "irls:l2p",
     }
+    _check_bench_agrees(out)
+
+
+def test_bench_wins_compare_each_repeat_with_its_own_vanilla_fit(tmp_path):
+    """Without outliers vanilla PCA wins some repeats, so the fractions in
+    wins.json fall strictly between 0 and 1 and `_check_bench_agrees` can tell
+    one repeat's vanilla angle from another's."""
+    out = tmp_path / "bench"
+    assert main(["bench", "--m", "6", "--n", "40", "--k-true", "2", "--noise", "0.3",
+                 "--outlier-frac", "0", "--norm", "l1", "--norm", "l2p", "--repeats", "4",
+                 "--max-iter", "100", "--seed", "5", "--out", str(out)]) == 0
+    fractions = json.loads((out / "wins.json").read_text())["beats_vanilla_fraction"]
+    assert any(0.0 < frac < 1.0 for frac in fractions.values()), fractions
+    _check_bench_agrees(out)
 
 
 def test_bench_external_input(tmp_path, capsys):
@@ -368,6 +417,7 @@ def test_bench_external_input(tmp_path, capsys):
                  "--repeats", "1", "--max-iter", "100", "--out", str(with_truth)])
     assert code == 0
     assert (with_truth / "wins.json").exists()
+    _check_bench_agrees(with_truth)
     # a --w-true value the basis check refuses is reported with the file's name
     basis = read_matrix_csv(synth_dir / "w_true.csv")
     basis[1, 0] = np.nan
@@ -378,6 +428,14 @@ def test_bench_external_input(tmp_path, capsys):
                  "--out", str(tmp_path / "bad")]) == 1
     assert capsys.readouterr().err == f"error: {bad}: Projection.values contains non-finite entries\n"
     assert not (tmp_path / "bad").exists()
+    # so is a --w-true with one row fewer than the data has features, before any fit
+    short = tmp_path / "short_w_true.csv"
+    write_matrix_csv(short, np.eye(5)[:, :2])
+    assert main(["bench", "--input", str(synth_dir / "data.csv"), "--w-true", str(short), "--k", "2",
+                 "--out", str(tmp_path / "short")]) == 1
+    assert capsys.readouterr().err == (f"error: {short}: the basis has 5 rows, "
+                                       f"but the data has 6 features\n")
+    assert not (tmp_path / "short").exists()
 
 
 def test_bench_flag_validation(tmp_path):
@@ -524,8 +582,10 @@ USAGE_CASES = {
     "synth_inf_outlier_scale": ("synth", ["--outlier-frac", "0.1", "--outlier-scale", "inf"],
                                 {"spec.outlier_scale": INF}),
     "synth_nan_outlier_scale": ("synth", ["--outlier-scale", "nan"], {"spec.outlier_scale": NAN}),
-    # the flags cannot express these: they keep one kind per norm, run bench
-    # with variant pgd and give synthesis and solver the same --seed
+    # the flags cannot express these: they give bench at least one norm (l1 by
+    # default) and one kind per norm, run it with variant pgd and give
+    # synthesis and solver the same --seed
+    "bench_no_norms": ("bench", None, {"norms": []}),
     "bench_repeated_norm_kind": ("bench", None, {"norms": [{"kind": "l2p", "p": 0.5},
                                                            {"kind": "l2p", "p": 1.0}]}),
     "bench_solver_variant": ("bench", None, {"solver.variant": "irls"}),
