@@ -4,8 +4,8 @@ Each command turns its flags into one frozen job (``SynthJob``, ``FitJob``
 or ``BenchJob``) and hands it to that command's runner.  A job holds the
 library's own spec objects (``SynthSpec``, ``NormSpec``, ``SolverConfig``),
 whose constructors check every value; ``BenchJob.__post_init__`` checks
-the few rules that span several flags, and ``_check_k`` checks k, once
-the data is loaded, by ``fit``'s own rule.
+the few rules that span several flags, and ``fit`` checks k against the
+loaded data before it computes anything.
 
 Every command writes a ``manifest.json`` whose ``config`` is the job as
 nested JSON (``dataclasses.asdict``: ``spec``, ``norm``/``norms`` and
@@ -15,8 +15,10 @@ field's annotation, so a rerun passes the same constructors and the same
 checks as the command did.  All numeric outputs are deterministic given
 the manifest; only the recorded wall times vary between runs.
 
-Exit codes: 0 on success, 1 on runtime or I/O failures (unreadable or
-malformed files), 2 on bad flags, flag combinations or manifests.
+Exit codes, mapped once in ``main``: 0 on success; 2 for ``InvalidSpec`` (a
+flag, setting or manifest that fails validation) and ``DimensionMismatch`` (a
+k the data cannot take); 1 for any other ``OSError``, ``ValueError``,
+``RuntimeError`` or ``MemoryError``, such as a file that fails to load.
 """
 from __future__ import annotations
 
@@ -33,11 +35,11 @@ import numpy as np
 from . import __version__
 from .csvio import FLOAT_FORMAT, read_matrix_csv, write_mask_csv, write_matrix_csv
 from .datagen import SynthSpec, synth_subspace
-from .errors import CsvParseError, DimensionMismatch, InvalidSpec
+from .errors import DimensionMismatch, InvalidSpec
 from .linalg import DataMatrix, Projection, center_columns
 from .metrics import evaluate
 from .objectives import NormSpec
-from .solvers import INITS, VARIANTS, FitResult, SolverConfig, _check_fit_args, fit
+from .solvers import INITS, VARIANTS, FitResult, SolverConfig, fit
 
 _EPILOG = """\
 file formats:
@@ -55,10 +57,6 @@ reproducing a run:
 """
 
 SUMMARY_HEADER = "solver,norm,p,final_objective,iterations,wall_time_ms,max_angle_rad"
-
-
-class UsageError(Exception):
-    """Bad flag value or combination; maps to exit code 2."""
 
 
 # ----------------------------------------------------------------- jobs
@@ -99,28 +97,20 @@ class BenchJob:
 
     def __post_init__(self) -> None:
         if self.repeats < 1:
-            raise UsageError(f"repeats must be at least 1, got {self.repeats}")
+            raise InvalidSpec(f"repeats must be at least 1, got {self.repeats}")
         if not self.norms:
-            raise UsageError("bench needs at least one norm")
+            raise InvalidSpec("bench needs at least one norm")
         if len({norm.kind for norm in self.norms}) < len(self.norms):
-            raise UsageError("bench takes each norm kind at most once")
+            raise InvalidSpec("bench takes each norm kind at most once")
         if self.solver.variant != "pgd":
-            raise UsageError(f"bench runs every variant; solver.variant must be 'pgd', "
-                             f"got {self.solver.variant!r}")
+            raise InvalidSpec(f"bench runs every variant; solver.variant must be 'pgd', "
+                              f"got {self.solver.variant!r}")
         if self.spec is not None and self.solver.seed != self.spec.seed:
-            raise UsageError(f"solver.seed must equal spec.seed {self.spec.seed}, got {self.solver.seed}")
+            raise InvalidSpec(f"solver.seed must equal spec.seed {self.spec.seed}, got {self.solver.seed}")
         if (self.spec is None) == (self.input is None):
-            raise UsageError("bench takes exactly one of an input file and a synthesis spec")
+            raise InvalidSpec("bench takes exactly one of an input file and a synthesis spec")
         if self.w_true is not None and self.input is None:
-            raise UsageError("--w-true needs --input")
-
-
-def _check_k(data: DataMatrix, k: int, norm: NormSpec, solver: SolverConfig) -> None:
-    """``fit``'s own k range for the loaded data; out of it is a usage error."""
-    try:
-        _check_fit_args(data, k, norm, solver)
-    except DimensionMismatch as exc:
-        raise UsageError(str(exc)) from exc
+            raise InvalidSpec("--w-true needs --input")
 
 
 _JSON_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string"}
@@ -138,23 +128,23 @@ def _from_json(hint, value, path: str = ""):
     where = f"manifest config {path!r}" if path else "manifest config"
     if is_dataclass(hint):
         if not isinstance(value, dict):
-            raise UsageError(f"{where} must be an object, got {json.dumps(value)}")
+            raise InvalidSpec(f"{where} must be an object, got {json.dumps(value)}")
         names = [f.name for f in fields(hint)]
         unknown = sorted(set(value) - set(names))
         if unknown:
-            raise UsageError(f"{where} has an unknown entry {unknown[0]!r}")
+            raise InvalidSpec(f"{where} has an unknown entry {unknown[0]!r}")
         hints = typing.get_type_hints(hint)
         args = {}
         for name in names:
             sub = f"{path}.{name}" if path else name
             if name not in value:
-                raise UsageError(f"manifest config has no {sub!r} entry")
+                raise InvalidSpec(f"manifest config has no {sub!r} entry")
             args[name] = _from_json(hints[name], value[name], sub)
         return hint(**args)
     origin = typing.get_origin(hint)
     if origin is tuple:
         if not isinstance(value, list):
-            raise UsageError(f"{where} must be a list, got {json.dumps(value)}")
+            raise InvalidSpec(f"{where} must be a list, got {json.dumps(value)}")
         item = typing.get_args(hint)[0]
         return tuple(_from_json(item, v, f"{path}[{i}]") for i, v in enumerate(value))
     if origin in (typing.Union, types.UnionType):
@@ -166,7 +156,7 @@ def _from_json(hint, value, path: str = ""):
         big = abs(value) > sys.float_info.max
         value = float(("-inf" if value < 0 else "inf") if big else value)
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, hint):
-        raise UsageError(f"{where} must be {_JSON_NAMES[hint]}, got {json.dumps(value)}")
+        raise InvalidSpec(f"{where} must be {_JSON_NAMES[hint]}, got {json.dumps(value)}")
     return value
 
 
@@ -195,7 +185,7 @@ def _write_manifest(out_dir: Path, command: str, job, inputs: dict, outputs: lis
 
 
 def _read_checked(path: str, build, skip_header: bool = False):
-    """``build`` applied to the matrix in ``path``; a ValueError it raises names the file."""
+    """``build`` applied to the matrix in ``path``; its ValueErrors return as plain ones naming the file."""
     arr = read_matrix_csv(path, skip_header=skip_header)
     try:
         return build(arr)
@@ -293,7 +283,6 @@ def cmd_synth(ns: argparse.Namespace) -> int:
 
 def _run_fit(job: FitJob, out_dir: Path) -> int:
     data = _load_data(job)
-    _check_k(data, job.k, job.norm, job.solver)
     result = fit(data, job.k, job.norm, job.solver)
     solver = "vanilla" if job.norm.kind == "fro" else job.solver.variant
     record = _trace_record(solver, job.norm, result)
@@ -328,7 +317,6 @@ def _run_bench(job: BenchJob, out_dir: Path) -> int:
     for repeat in range(job.repeats):
         if job.spec is not None:
             data, reference, _ = synth_subspace(replace(job.spec, seed=job.spec.seed + repeat))
-        _check_k(data, job.k, fro, job.solver)
         vanilla = fit(data, job.k, fro, job.solver)
         ref = vanilla.projection if reference is None else reference
         runs.append({"repeat": repeat, "solver": "vanilla", "norm": fro, "result": vanilla,
@@ -383,11 +371,11 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     if ns.input is None:
         for flag, value in (("--m", ns.m), ("--n", ns.n), ("--k-true", ns.k_true)):
             if value is None:
-                raise UsageError(f"{flag} is required when --input is not given")
+                raise InvalidSpec(f"{flag} is required when --input is not given")
         spec = _synth_spec(ns)
     k = ns.k if ns.k is not None or spec is None else spec.k_true
     if k is None:
-        raise UsageError("--k is required when --input is given")
+        raise InvalidSpec("--k is required when --input is given")
     job = BenchJob(
         k=k, norms=_norms(ns.norm or ["l1"], ns.p), repeats=ns.repeats,
         solver=_solver_config(ns, "pgd"), spec=spec,
@@ -410,12 +398,12 @@ def cmd_rerun(ns: argparse.Namespace) -> int:
         try:
             manifest = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise UsageError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+            raise InvalidSpec(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
     if not isinstance(manifest, dict):
-        raise UsageError("manifest must be a JSON object")
+        raise InvalidSpec("manifest must be a JSON object")
     command = manifest.get("command")
     if not isinstance(command, str) or command not in _COMMANDS:
-        raise UsageError(f"manifest names unknown command {command!r}")
+        raise InvalidSpec(f"manifest names unknown command {command!r}")
     job_type, run = _COMMANDS[command]
     job = _from_json(job_type, manifest.get("config"))
     out_dir = Path(ns.out) if ns.out else manifest_path.resolve().parent
@@ -520,10 +508,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return ns.func(ns)
-    except (UsageError, InvalidSpec) as exc:
+    except (InvalidSpec, DimensionMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CsvParseError, OSError, ValueError, RuntimeError, MemoryError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, require_int
+from .errors import InvalidSpec, require_int, require_real
 from .linalg import DataMatrix, Projection, _center_rows, procrustes_project
 
 
@@ -38,6 +38,8 @@ class SynthSpec:
     def __post_init__(self) -> None:
         for name in ("m", "n", "k_true", "seed"):
             require_int(name, getattr(self, name))
+        for name in ("noise_sigma", "outlier_frac", "outlier_scale"):
+            require_real(name, getattr(self, name))
         if self.m < 1:
             raise InvalidSpec(f"m must be at least 1, got {self.m}")
         if self.n < 1:

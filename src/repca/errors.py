@@ -1,4 +1,4 @@
-"""Exception and warning types, and the integer check the spec classes share."""
+"""Exception and warning types, and the type checks the spec classes share."""
 import numbers
 
 
@@ -28,3 +28,10 @@ def require_int(name: str, value) -> None:
     int, but not a float and not a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise InvalidSpec unless ``value`` is a real number: a Python or
+    numpy float or int, but not a bool and not a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidSpec(f"{name} must be a number, got {value!r}")

@@ -11,18 +11,24 @@ from .objectives import NormSpec, _basis_stats, _check_pair, objective_from_stat
 
 
 def principal_angles(basis_a: Projection, basis_b: Projection) -> np.ndarray:
-    """Principal angles between two subspaces, ascending, in [0, pi/2].
+    """Principal angles between two subspaces, ascending, in [0, pi/2];
+    min(k_a, k_b) of them.
 
-    Computed as arccos of the singular values of W_a^T W_b; the singular
-    values come out descending, so the angles are already ascending.
+    The cosines are the singular values of W_a^T W_b and the sines those of
+    W_b - W_a (W_a^T W_b), the part of W_b outside span(W_a); each angle is
+    arctan2(sin, cos), which keeps full relative accuracy at both ends,
+    where arccos or arcsin alone would lose half the digits (Bjorck & Golub,
+    Math. Comp. 1973).  The cosines come out descending and the sines,
+    reversed, ascending, so they pair up angle by angle and the angles ascend.
     """
     if basis_a.m != basis_b.m:
         raise DimensionMismatch(
             f"bases live in different ambient dimensions: {basis_a.m} vs {basis_b.m}"
         )
     overlap = basis_a.values.T @ basis_b.values
-    sigma = np.linalg.svd(overlap, compute_uv=False)
-    return np.arccos(np.clip(sigma, 0.0, 1.0))
+    cos = np.linalg.svd(overlap, compute_uv=False)
+    sin = np.linalg.svd(basis_b.values - basis_a.values @ overlap, compute_uv=False)
+    return np.arctan2(sin[::-1][: cos.size], cos)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec
+from .errors import DimensionMismatch, InvalidSpec, require_real
 from .linalg import DataMatrix, Projection
 
 _KINDS = ("fro", "l1", "l2p")
@@ -45,7 +45,9 @@ class NormSpec:
         if self.kind not in _KINDS:
             raise InvalidSpec(f"unknown norm kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind == "l2p":
-            if self.p is None or not 0.0 < float(self.p) <= 2.0:
+            if self.p is not None:
+                require_real("p", self.p)
+            if self.p is None or not 0.0 < self.p <= 2.0:
                 raise InvalidSpec(f"l2p requires 0 < p <= 2, got p={self.p!r}")
             object.__setattr__(self, "p", float(self.p))
         elif self.p is not None:
@@ -61,7 +63,7 @@ class NormSpec:
 
     @classmethod
     def l2p(cls, p: float) -> "NormSpec":
-        return cls("l2p", float(p))
+        return cls("l2p", p)
 
 
 def _check_pair(data: DataMatrix, basis: Projection) -> None:

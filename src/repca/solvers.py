@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidSpec, SpectrumGapWarning, require_int
+from .errors import DimensionMismatch, InvalidSpec, SpectrumGapWarning, require_int, require_real
 from .linalg import DataMatrix, Projection, procrustes_project, top_r_eigvecs, spectral_norm
 from .objectives import (
     ColumnStats,
@@ -88,6 +88,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         require_int("max_iter", self.max_iter)
         require_int("seed", self.seed)
+        for name in ("tol", "eps"):  # stored as floats: a float32 eps would square in float32
+            require_real(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.variant not in VARIANTS:
             raise InvalidSpec(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.max_iter < 1:

@@ -436,6 +436,13 @@ def test_bench_external_input(tmp_path, capsys):
     assert capsys.readouterr().err == (f"error: {short}: the basis has 5 rows, "
                                        f"but the data has 6 features\n")
     assert not (tmp_path / "short").exists()
+    # a shape error raised while a file is built is a file error too: exit 1, not 2
+    wide = tmp_path / "wide_w_true.csv"
+    write_matrix_csv(wide, np.eye(6, 7))
+    assert main(["bench", "--input", str(synth_dir / "data.csv"), "--w-true", str(wide), "--k", "1",
+                 "--out", str(tmp_path / "wide")]) == 1
+    assert capsys.readouterr().err == f"error: {wide}: basis has more columns than rows: (6, 7)\n"
+    assert not (tmp_path / "wide").exists()
 
 
 def test_bench_flag_validation(tmp_path):

@@ -46,6 +46,16 @@ def test_spec_counts_must_be_integers(field, value):
         SynthSpec(**{"m": 5, "n": 40, "k_true": 2, field: value})
 
 
+@pytest.mark.parametrize("field, value", (
+    ("noise_sigma", True), ("noise_sigma", "0.1"), ("outlier_frac", False),
+    ("outlier_frac", "0.1"), ("outlier_scale", True), ("outlier_scale", "2"),
+))
+def test_spec_scales_must_be_numbers(field, value):
+    with pytest.raises(InvalidSpec, match=f"^{field} must be a number"):
+        SynthSpec(**{"m": 3, "n": 5, "k_true": 1, field: value})
+    assert SynthSpec(3, 5, 1, **{field: np.float64(0.5)}) == SynthSpec(3, 5, 1, **{field: 0.5})
+
+
 def test_spec_accepts_numpy_integers():
     spec = SynthSpec(m=np.int64(5), n=np.int32(40), k_true=np.int8(2), seed=np.uint16(3))
     want = SynthSpec(m=5, n=40, k_true=2, seed=3)

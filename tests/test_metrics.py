@@ -18,7 +18,7 @@ def _basis(arr):
 def test_identical_subspaces_have_zero_angles():
     q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((7, 3)))
     angles = principal_angles(Projection(q), Projection(q))
-    np.testing.assert_allclose(angles, 0.0, atol=1e-7)
+    np.testing.assert_allclose(angles, 0.0, atol=1e-15)
 
 
 def test_orthogonal_lines_meet_at_right_angle():
@@ -28,10 +28,21 @@ def test_orthogonal_lines_meet_at_right_angle():
 
 
 def test_planar_rotation_recovers_the_angle():
-    theta = 0.3
+    """A tiny angle too: arccos of its cosine, 1 - 5e-19, would read 0."""
     a = _basis([[1.0], [0.0]])
-    b = _basis([[np.cos(theta)], [np.sin(theta)]])
-    assert principal_angles(a, b)[0] == pytest.approx(theta, abs=1e-12)
+    for theta, atol in ((0.3, 1e-12), (1e-9, 1e-15)):
+        b = _basis([[np.cos(theta)], [np.sin(theta)]])
+        assert principal_angles(a, b)[0] == pytest.approx(theta, abs=atol)
+
+
+def test_line_inside_a_plane_meets_it_at_one_zero_angle():
+    """Subspaces of different dimension have min(k_a, k_b) angles."""
+    plane = _basis([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    line = _basis([[0.6], [0.8], [0.0]])
+    for a, b in ((plane, line), (line, plane)):
+        angles = principal_angles(a, b)
+        assert angles.shape == (1,)
+        assert angles[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_angles_ignore_basis_rotation():
@@ -41,7 +52,7 @@ def test_angles_ignore_basis_rotation():
     q, _ = np.linalg.qr(rng.standard_normal((8, 3)))
     rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     angles = principal_angles(Projection(q), Projection(q @ rot))
-    np.testing.assert_allclose(angles, 0.0, atol=1e-7)
+    np.testing.assert_allclose(angles, 0.0, atol=1e-14)
 
 
 def test_angles_are_sorted_ascending():

@@ -51,6 +51,17 @@ def test_norm_spec_validates_p():
         NormSpec("nuclear")
 
 
+@pytest.mark.parametrize("make", (
+    lambda: NormSpec.l2p(True), lambda: NormSpec("l2p", True), lambda: NormSpec("l2p", "0.5"),
+    lambda: NormSpec.l2p("1"),
+), ids=("l2p-true", "kind-true", "kind-string", "l2p-string"))
+def test_norm_exponent_must_be_a_number(make):
+    with pytest.raises(InvalidSpec, match="^p must be a number"):
+        make()
+    for p in (np.float32(0.5), np.int64(1), 1):  # numpy numbers and ints read as the float
+        assert NormSpec.l2p(p).p == float(p) and type(NormSpec.l2p(p).p) is float
+
+
 # ----------------------------------------------------------------- residual
 
 

@@ -85,6 +85,19 @@ def test_counts_must_be_integers(field, value):
             vanilla_pca(data, value)
 
 
+@pytest.mark.parametrize("field, value", (
+    ("tol", True), ("tol", "1e-8"), ("tol", None), ("eps", True), ("eps", "1e-10"),
+))
+def test_float_settings_must_be_numbers(field, value):
+    """A bool, a string or None fails with InvalidSpec, not later with a TypeError."""
+    with pytest.raises(InvalidSpec, match=f"^{field} must be a number"):
+        SolverConfig(**{field: value})
+    # numpy numbers and ints stay accepted and are stored as floats
+    for number in (np.float32(2.0 ** -20), np.float64(1e-5), np.int64(1), 1):
+        assert type(getattr(SolverConfig(**{field: number}), field)) is float
+    assert SolverConfig(eps=np.float32(2.0 ** -20)) == SolverConfig(eps=2.0 ** -20)
+
+
 def test_counts_accept_numpy_integers():
     data, _ = _instance(0)
     config = SolverConfig(init="random", max_iter=np.int64(3), seed=np.uint8(1))
@@ -174,8 +187,9 @@ def test_vanilla_pca_matches_svd():
         data, _ = _instance(int(rng.integers(1000)), m=9, n=60, k=4, noise=0.5)
         got = vanilla_pca(data, 3)
         u = np.linalg.svd(data.values, full_matrices=False)[0][:, :3]
-        # arccos cannot resolve angles much below sqrt(eps), so 1e-6 is tight
-        assert principal_angles(got, Projection(u)).max() < 1e-6
+        # eigh of X X^T and the SVD of X agree to about 1e-14 rad here; the
+        # angles resolve to rounding, so 1e-10 leaves room for other LAPACKs
+        assert principal_angles(got, Projection(u)).max() < 1e-10
 
 
 def test_vanilla_pca_maximizes_captured_variance():
@@ -384,7 +398,7 @@ def test_p2_reduces_to_vanilla_pca():
         out = fit(data, 3, NormSpec.l2p(2.0), SolverConfig(variant=variant))
         assert out.converged
         assert out.iterations <= 3
-        assert principal_angles(out.projection, van).max() < 1e-6
+        assert principal_angles(out.projection, van).max() < 1e-10
 
 
 def test_zero_residual_converges_immediately():
