@@ -12,8 +12,9 @@ nested JSON (``dataclasses.asdict``: ``spec``, ``norm``/``norms`` and
 ``solver`` are objects of their own).  ``repca rerun --manifest <path>``
 rebuilds the same job from it, checking each value's JSON type against the
 field's annotation, so a rerun passes the same constructors and the same
-checks as the command did.  All numeric outputs are deterministic given
-the manifest; only the recorded wall times vary between runs.
+checks as the command did.  Given the manifest, numeric outputs repeat
+bit for bit on the same numpy, BLAS build and BLAS thread count, which the
+manifest records beside ``config``; only the wall times vary between runs.
 
 Exit codes, mapped once in ``main``: 0 on success; 2 for ``InvalidSpec`` (a
 flag, setting or manifest that fails validation) and ``DimensionMismatch`` (a
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import types
 import typing
@@ -39,7 +41,7 @@ from .errors import DimensionMismatch, InvalidSpec
 from .linalg import DataMatrix, Projection, center_columns
 from .metrics import evaluate
 from .objectives import NormSpec
-from .solvers import INITS, VARIANTS, FitResult, SolverConfig, fit
+from .solvers import CLAMP_RTOL, INITS, VARIANTS, FitResult, SolverConfig, fit
 
 _EPILOG = """\
 file formats:
@@ -57,6 +59,7 @@ reproducing a run:
 """
 
 SUMMARY_HEADER = "solver,norm,p,final_objective,iterations,wall_time_ms,max_angle_rad"
+BLAS_THREAD_VARIABLES = ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
 
 
 # ----------------------------------------------------------------- jobs
@@ -180,6 +183,8 @@ def _write_manifest(out_dir: Path, command: str, job, inputs: dict, outputs: lis
             "inputs": inputs,
             "outputs": sorted([*outputs, "manifest.json"]),
             "seed": (job.spec if isinstance(job, SynthJob) else job.solver).seed,
+            "numpy": np.__version__,
+            **{name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         },
     )
 
@@ -239,8 +244,7 @@ def _synth_spec(ns: argparse.Namespace) -> SynthSpec:
 
 
 def _solver_config(ns: argparse.Namespace, variant: str) -> SolverConfig:
-    return SolverConfig(variant=variant, max_iter=ns.max_iter, tol=ns.tol,
-                        eps=ns.eps, init=ns.init, seed=ns.seed)
+    return SolverConfig(variant=variant, max_iter=ns.max_iter, tol=ns.tol, init=ns.init, seed=ns.seed)
 
 
 def _norms(kinds: list[str], p: float | None) -> tuple[NormSpec, ...]:
@@ -434,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.add_argument("--input", required=True, help="data CSV, one sample per row")
     fit_p.add_argument("--k", type=int, required=True, help="subspace dimension")
     fit_p.add_argument("--norm", choices=("fro", "l1", "l2p"), default="l1",
-                       help="reconstruction loss (fro solves vanilla PCA directly)")
+                       help="reconstruction loss (fro solves vanilla PCA directly; l1 and l2p"
+                            f" weights clamp residual norms at {CLAMP_RTOL:g} of the RMS sample norm)")
     fit_p.add_argument("--p", type=float, default=None,
                        help="exponent for --norm l2p, in (0, 2] (default 1)")
     fit_p.add_argument("--solver", choices=VARIANTS, default=SolverConfig.variant)
@@ -491,8 +496,6 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
                     help="iteration cap (default %(default)s)")
     sp.add_argument("--tol", type=float, default=SolverConfig.tol,
                     help="relative objective-change stopping threshold (default %(default)s)")
-    sp.add_argument("--eps", type=float, default=SolverConfig.eps,
-                    help="residual-norm clamp for the weight denominators (default %(default)s)")
     sp.add_argument("--init", choices=INITS, default=SolverConfig.init,
                     help="starting basis: vanilla PCA or a seeded random orthonormal matrix"
                          " (default %(default)s)")

@@ -30,8 +30,13 @@ def require_int(name: str, value) -> None:
         raise InvalidSpec(f"{name} must be an integer, got {value!r}")
 
 
-def require_real(name: str, value) -> None:
-    """Raise InvalidSpec unless ``value`` is a real number: a Python or
-    numpy float or int, but not a bool and not a string."""
+def require_real(name: str, value) -> float:
+    """``value`` as a float; InvalidSpec unless it is a real number: a
+    Python or numpy float or int, but not a bool, not a string and not an
+    int past the float range."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidSpec(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidSpec(f"{name} is an integer past the float range") from None

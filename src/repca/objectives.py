@@ -5,7 +5,11 @@ ones (elementwise l1, columnwise l2,p) are handled by reweighting: a
 nonnegative per-sample diagonal d turns the loss into the weighted
 quadratic tr(Y diag(d) Y^T), which the solvers can decrease with a fixed
 step.  ``objective_value`` always reports the true, unclamped loss; the
-clamp ``eps`` only guards the weight denominators.
+clamp c on residual column norms, which ``solvers.fit`` sets from the
+data's scale, only guards the weight denominators.  For l2p the clamped
+weights are, up to a factor 2 that moves no step, the MM weights of the
+loss Huberized at c: h(t) = t^p for t >= c, (p/2) c^(p-2) t^2 +
+(1 - p/2) c^p below.
 
 Every loss and every weight diagonal is computed from the residual's
 per-column sums, ``column_stats``: the sums of squares and, for l1, the
@@ -16,8 +20,6 @@ Z = X diag(sqrt d), a symmetric rank-n update that is exactly symmetric.
 """
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,11 +47,10 @@ class NormSpec:
         if self.kind not in _KINDS:
             raise InvalidSpec(f"unknown norm kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind == "l2p":
-            if self.p is not None:
-                require_real("p", self.p)
-            if self.p is None or not 0.0 < self.p <= 2.0:
+            p = None if self.p is None else require_real("p", self.p)
+            if p is None or not 0.0 < p <= 2.0:
                 raise InvalidSpec(f"l2p requires 0 < p <= 2, got p={self.p!r}")
-            object.__setattr__(self, "p", float(self.p))
+            object.__setattr__(self, "p", p)
         elif self.p is not None:
             raise InvalidSpec(f"p is only meaningful for the l2p loss, not {self.kind!r}")
 
@@ -116,20 +117,14 @@ def objective_from_stats(stats: ColumnStats, norm: NormSpec) -> float:
     return float((np.sqrt(stats.sq) ** norm.p).sum())
 
 
-def weights_from_stats(stats: ColumnStats, norm: NormSpec, eps: float) -> np.ndarray:
-    """The reweighting diagonal of ``norm``; for l1, tr(Y diag(d) Y^T) = ||Y||_1."""
+def weights_from_stats(stats: ColumnStats, norm: NormSpec, clamp: float) -> np.ndarray:
+    """The reweighting diagonal of ``norm``, with column norms clamped at
+    ``clamp``; for l1, tr(Y diag(d) Y^T) = ||Y||_1 on columns above it."""
     if norm.kind == "l1":
-        return stats.abs / np.maximum(stats.sq, eps * eps)
+        return stats.abs / np.maximum(stats.sq, clamp * clamp)
     if norm.kind == "l2p":
-        return norm.p * np.maximum(np.sqrt(stats.sq), eps) ** (norm.p - 2.0)
+        return norm.p * np.maximum(np.sqrt(stats.sq), clamp) ** (norm.p - 2.0)
     raise InvalidSpec("the fro loss has a closed-form minimizer; no reweighting")
-
-
-def _check_eps(eps: float) -> None:
-    """eps**2, the l1 clamp, must be a normal finite double; NaN fails too."""
-    lo, hi = math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max)
-    if not lo <= eps <= hi:
-        raise InvalidSpec(f"eps must be in [{lo:.3g}, {hi:.3g}], got {eps}")
 
 
 def _objective_from_residual(resid: np.ndarray, norm: NormSpec) -> float:

@@ -1,47 +1,41 @@
 """Orthonormal-subspace solvers for the reconstruction losses.
 
-``fit`` takes all three losses and is the only code that computes a basis.
-For fro it returns the closed-form minimizer, the vanilla start (which
-``vanilla_pca`` returns too), and runs no round.  For l1 and l2p it runs
-one reweighted majorize-minimize (MM) loop.  Each round rebuilds the
-per-sample weight diagonal d from the current residual, forms the
-reweighted scatter M = X diag(d) X^T, and then takes one step that
-decreases the weighted quadratic tr(Y diag(d) Y^T) built around the
-current basis.  The m-by-n residual is formed once per round, in place,
-and reduced to the per-column sums of ``objectives.column_stats``; the
-objective, the weights and the span-floor norm below all follow from
-those.  Values are checked where they enter and leave: ``fit`` takes a
-checked ``DataMatrix``, rejects data whose squared Frobenius norm
-overflows, and runs its rounds on plain arrays, building a
-``Projection`` for the result (and, per round, only for a callback).
-``SolverConfig.variant`` picks only that step:
+``fit`` is the only code that computes a basis.  For fro it returns the
+closed-form minimizer, the vanilla start (``vanilla_pca`` returns it too),
+and runs no round.  For l1 and l2p it runs one reweighted
+majorize-minimize (MM) loop.  Each round forms the residual X - W W^T X
+once, in place, and reduces it to ``objectives.column_stats``; the
+objective, the weight diagonal d and the span-floor test follow from
+those.  It then forms M = X diag(d) X^T and takes the step
+``SolverConfig.variant`` names, which decreases the weighted quadratic
+tr(Y diag(d) Y^T) built around the current basis:
 
-* ``pgd``       the gradient step W + M W / ||M||_2, retracted with the
-                nearest-orthonormal (Procrustes) projection.  The step
-                equals the descent-guaranteed 1/L for the loss's gradient
-                convention, so the columnwise trace is monotone.
+* ``pgd``       W + M W / ||M||_2, retracted with the nearest-orthonormal
+                (Procrustes) projection: the descent-guaranteed 1/L step.
 * ``momentum``  the same step, along the scatter built at W, taken from
-                the extrapolated point V = W + (s-2)/(s+1) (W - W_old).
-                Faster, but without the monotone guarantee.
-* ``irls``      the top-k eigenvectors of M.  Occasional objective
-                increases are kept and counted rather than damped.
+                V = W + (s-2)/(s+1) (W - W_old); no monotone guarantee.
+* ``irls``      the top-k eigenvectors of M; increases are counted.
 
-``top_r_eigvecs`` flags a closed eigengap at the cut, and ``fit`` counts
-the flags of its vanilla start and irls steps.  It changes no process-wide
-warnings state, so concurrent fits, on a shared ``DataMatrix`` too, count
-exactly; only ``vanilla_pca``, called on its own, warns.
+The weights clamp residual column norms at CLAMP_RTOL times the data's RMS
+column norm ||X||_F / sqrt(n), so that a fit does not depend on the data's
+units.  The clamp is floored at sqrt(float_info.min), so that the l1
+clamp squared stays a normal double; below an RMS column norm of about
+1e-144 it stops scaling.  ||X||_F is taken once, where ``fit`` also
+rejects data whose squared norm overflows.
+
+``fit`` counts the closed eigengaps ``top_r_eigvecs`` flags for its
+vanilla start and irls steps, and touches no process-wide warnings state;
+only ``vanilla_pca``, called on its own, warns.
 
 Convergence is declared when the relative objective change drops to
-``tol``.  A residual at rounding level (||R||_F <= 1e-12 ||X||_F) also
-counts as converged before any step is taken: the basis then spans the
-data, every loss is at its global minimum, and the relative test would
-only compare rounding noise with rounding noise.  This covers k = m, data
-of rank at most k, and the exactly zero residual, where the scatter
-matrix vanishes and no step is defined.
+``tol``, or, before any step, when the residual is rounding noise
+(||R||_F <= 1e-12 ||X||_F): the basis then spans the data (k = m, rank at
+most k, a zero residual), and every loss is at its global minimum.
 """
 from __future__ import annotations
 
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -55,7 +49,6 @@ from .objectives import (
     ColumnStats,
     NormSpec,
     _basis_stats,
-    _check_eps,
     _objective_from_residual,  # noqa: F401  (benchmarks/tracing.py wraps this name)
     objective_from_stats,
     weighted_scatter,
@@ -65,6 +58,9 @@ from .objectives import (
 MONOTONE_SLACK_RTOL = 1e-12
 # ||X - W W^T X||_F at or below this fraction of ||X||_F is rounding noise.
 SPAN_RTOL = 1e-12
+# Residual column norms are clamped at this fraction of the RMS column norm.
+CLAMP_RTOL = 1e-10
+CLAMP_FLOOR = math.sqrt(sys.float_info.min)
 # The random start draws from its own stream of the seed.  datagen draws the
 # planted basis first from default_rng(seed), so a start drawn from that
 # same stream would be the planted basis whenever the seeds agree.
@@ -81,23 +77,19 @@ class SolverConfig:
     variant: str = "pgd"
     max_iter: int = 500
     tol: float = 1e-8
-    eps: float = 1e-10
     init: str = "vanilla"
     seed: int = 0
 
     def __post_init__(self) -> None:
         require_int("max_iter", self.max_iter)
         require_int("seed", self.seed)
-        for name in ("tol", "eps"):  # stored as floats: a float32 eps would square in float32
-            require_real(name, getattr(self, name))
-            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "tol", require_real("tol", self.tol))
         if self.variant not in VARIANTS:
             raise InvalidSpec(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.max_iter < 1:
             raise InvalidSpec(f"max_iter must be at least 1, got {self.max_iter}")
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise InvalidSpec(f"tol must be finite and nonnegative, got {self.tol}")
-        _check_eps(self.eps)
         if self.init not in INITS:
             raise InvalidSpec(f"init must be one of {INITS}, got {self.init!r}")
         if self.seed < 0:
@@ -180,8 +172,13 @@ def _initial_basis(data: DataMatrix, k: int, config: SolverConfig) -> tuple[np.n
     return procrustes_project(rng.standard_normal((data.n_features, k))), False
 
 
-def _weights_for(norm: NormSpec, stats: ColumnStats, eps: float) -> np.ndarray:
-    return weights_from_stats(stats, norm, eps)
+def weight_clamp(frobenius: float, n: int) -> float:
+    """The clamp for n samples of ||X||_F = ``frobenius`` (module docstring)."""
+    return max(CLAMP_RTOL * frobenius / math.sqrt(n), CLAMP_FLOOR)
+
+
+def _weights_for(norm: NormSpec, stats: ColumnStats, clamp: float) -> np.ndarray:
+    return weights_from_stats(stats, norm, clamp)
 
 
 def fit(
@@ -195,16 +192,12 @@ def fit(
 
     For fro the vanilla start is the minimizer: the result holds it, with
     ``iterations=0``, ``converged=True`` and a one-entry trace.  For l1 and
-    l2p each round rebuilds the weight diagonal at the current basis, forms
-    the reweighted scatter, and moves the basis by the step
-    ``config.variant`` names (see the module docstring).  Each pgd step
-    decreases the weighted quadratic built around the current iterate.  For
-    the columnwise loss that quadratic lies above the loss itself, so the
-    recorded trace is non-increasing up to rounding; the elementwise loss
-    enjoys no such bound and its trace can tick upward even though the
-    overall trend still falls.  momentum and irls increases are counted in
-    ``monotone_violations``, not suppressed.  A closed eigengap in the
-    vanilla start or an irls step is counted in ``spectrum_gap_events``.
+    l2p it runs the MM loop of the module docstring.  For l2p the weighted
+    quadratic of each round lies above the sum of h, the loss Huberized at
+    the clamp (see ``objectives``), so pgd never raises that sum; the true
+    loss can rise once a column falls below the clamp.  The l1 loss has no
+    such bound.  Rises of the true loss are counted in
+    ``monotone_violations``, and closed eigengaps in ``spectrum_gap_events``.
 
     ``callback(it, basis, objective)`` sees the start (it = 0) and every
     iterate after it.
@@ -212,7 +205,8 @@ def fit(
     config = _check_fit_args(data, k, norm, config)
     start = time.perf_counter()
     x = data.values
-    floor = SPAN_RTOL * _frobenius_norm(x)
+    frobenius = _frobenius_norm(x)
+    floor, clamp = SPAN_RTOL * frobenius, weight_clamp(frobenius, data.n_samples)
     w, gap_closed = _initial_basis(data, k, config)
     w_old = w  # momentum's previous iterate: round 1 is a plain pgd step
     gap_events = int(gap_closed)
@@ -227,7 +221,7 @@ def fit(
         if math.sqrt(stats.sq.sum()) <= floor:
             converged = True
             break
-        scatter = weighted_scatter(data, _weights_for(norm, stats, config.eps))
+        scatter = weighted_scatter(data, _weights_for(norm, stats, clamp))
         if config.variant == "irls":
             w, gap_closed = top_r_eigvecs(scatter, k)
             gap_events += gap_closed

@@ -10,6 +10,7 @@ strict: the projected-gradient update bounds a reweighted quadratic, not
 the elementwise loss itself, and on roughly half of random instances the
 recorded objective genuinely ticks upward by a tiny amount.  The test
 states the guarantee we would like and documents that it does not hold.
+So does the irls test on the Huberized l2,p loss for small exponents.
 """
 
 import json
@@ -33,6 +34,10 @@ from repca import (
 from repca.cli import SUMMARY_HEADER, main
 from repca.linalg import procrustes_project
 from repca.objectives import _project_out, column_stats, weighted_scatter, weights_from_stats
+from repca.solvers import weight_clamp
+
+
+CLAMP = 1e-10  # below every residual column norm these tests draw
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -50,7 +55,7 @@ def test_entrywise_weight_trace_identity():
         y = rng.standard_normal((m, n))
         while np.sqrt((y * y).sum(axis=0)).min() < 1e-3:
             y = rng.standard_normal((m, n))
-        d = weights_from_stats(column_stats(y, NormSpec.l1()), NormSpec.l1(), SolverConfig().eps)
+        d = weights_from_stats(column_stats(y, NormSpec.l1()), NormSpec.l1(), CLAMP)
         tr = float(np.trace(weighted_scatter(DataMatrix(y), d)))
         l1 = float(np.abs(y).sum())
         worst = max(worst, abs(tr - l1) / l1)
@@ -97,7 +102,7 @@ def test_columnwise_gradient_matches_finite_differences():
                 resid = _project_out(data.values, basis.values)
                 if np.sqrt((resid * resid).sum(axis=0)).min() >= 1e-3:
                     break
-            d = weights_from_stats(column_stats(resid, norm), norm, SolverConfig().eps)
+            d = weights_from_stats(column_stats(resid, norm), norm, CLAMP)
             grad = _surrogate_slope(data.values, basis.values, d, 1.0)
             delta = _tangent_direction(rng, basis)
             up = objective_value(data, Projection(procrustes_project(basis.values + h * delta)), norm)
@@ -147,6 +152,60 @@ def test_pgd_columnwise_objective_never_increases():
     _report("columnwise descent", ok, f"{violations} violations in 50 runs, {elapsed:.2f}s")
     assert violations == 0
     assert elapsed < 30.0
+
+
+SMALL_EXPONENTS = (0.05, 0.1, 0.3, 0.5, 0.8)
+
+
+def _huberized_rises(variant: str, p: float) -> list[float]:
+    """Each fit's largest rise of sum h over its iterates, relative to its
+    start, on 20 planted 10x200 problems.  h is the l2,p loss Huberized at
+    the clamp fit uses, c: t^p for t >= c and (p/2) c^(p-2) t^2 +
+    (1 - p/2) c^p below, the loss whose MM weights fit takes."""
+    norm = NormSpec.l2p(p)
+    rises = []
+    for seed in range(20):
+        spec = SynthSpec(m=10, n=200, k_true=2, noise_sigma=0.1, outlier_frac=0.1,
+                         outlier_scale=5.0, seed=seed)
+        data = synth_subspace(spec)[0]
+        x = data.values
+        c = weight_clamp(np.linalg.norm(x), data.n_samples)
+        scores = []
+
+        def score(it, basis, objective):
+            sq = column_stats(_project_out(x, basis.values), norm).sq
+            h = np.where(sq >= c * c, np.sqrt(sq) ** p, (p / 2) * c ** (p - 2) * sq + (1 - p / 2) * c ** p)
+            scores.append(float(h.sum()))
+
+        fit(data, 2, norm, SolverConfig(variant=variant), callback=score)
+        rises.append(float(np.diff(scores).max(initial=0.0)) / scores[0])
+    return rises
+
+
+def test_pgd_huberized_objective_never_increases_for_small_exponents():
+    """Below p = 1 a residual column can fall under the clamp, where the
+    weighted quadratic no longer lies above t^p, and the true loss can
+    rise.  It always lies above h, so pgd's iterates never raise sum h."""
+    t0 = time.perf_counter()
+    worst = max(max(_huberized_rises("pgd", p)) for p in SMALL_EXPONENTS)
+    elapsed = time.perf_counter() - t0
+    ok = worst <= 1e-12 and elapsed < 30.0
+    _report("huberized descent", ok, f"worst rise {worst:.2e} of J0 over 100 fits, {elapsed:.2f}s")
+    assert worst <= 1e-12
+    assert elapsed < 30.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="irls rises on sum h by up to a few % of J0 for p <= 0.3; suspected cause: "
+    "clamped weights reach clamp^(p-2), so eigh on the scatter resolves the other "
+    "directions poorly",
+)
+def test_irls_huberized_objective_never_increases_for_small_exponents():
+    """Stated guarantee for irls on sum h; known not to hold."""
+    worst = max(max(_huberized_rises("irls", p)) for p in SMALL_EXPONENTS)
+    _report("irls huberized descent", worst <= 1e-12, f"worst rise {worst:.2e} of J0")
+    assert worst <= 1e-12
 
 
 @pytest.mark.xfail(

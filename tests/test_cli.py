@@ -1,13 +1,14 @@
 import copy
 import gzip
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
 
 from repca import DataMatrix, NormSpec, SolverConfig, SynthSpec, center_columns, fit
-from repca.cli import SUMMARY_HEADER, _solver_config, _synth_spec, build_parser, main
+from repca.cli import BLAS_THREAD_VARIABLES, SUMMARY_HEADER, _solver_config, _synth_spec, build_parser, main
 from repca.csvio import FLOAT_FORMAT, read_matrix_csv, write_matrix_csv
 
 
@@ -239,6 +240,7 @@ def test_fit_flag_validation(tmp_path):
                  "--p", "1.0", "--out", out]) == 2
     assert main(["fit", "--input", data, "--k", "99", "--out", out]) == 2
     assert main(["fit", "--input", data, "--k", "0", "--out", out]) == 2
+    assert main(["fit", "--input", data, "--k", "2", "--eps", "1e-10", "--out", out]) == 2
     # 3 samples of 5 features: the closed form needs k <= 3 whatever the start
     thin = tmp_path / "thin.csv"
     write_matrix_csv(thin, np.random.default_rng(0).standard_normal((3, 5)))
@@ -246,7 +248,7 @@ def test_fit_flag_validation(tmp_path):
                  "--init", "random", "--out", out]) == 2
 
 
-@pytest.mark.parametrize("flag", ("--tol", "--eps"))
+@pytest.mark.parametrize("flag", ("--tol",))
 def test_fit_non_finite_setting_exits_two(tmp_path, capsys, flag):
     synth_dir = _synth(tmp_path)
     capsys.readouterr()
@@ -257,18 +259,21 @@ def test_fit_non_finite_setting_exits_two(tmp_path, capsys, flag):
     assert not (tmp_path / "y").exists()
 
 
-@pytest.mark.parametrize("eps", ("1.5e-154", "1.3e154"))
-def test_fit_eps_at_the_range_ends_runs_cleanly(tmp_path, capsys, eps):
+@pytest.mark.parametrize("scale", (1e-150, 1e150))
+def test_fit_at_the_data_scale_ends_runs_cleanly(tmp_path, capsys, scale):
     """The third sample is the mean, so its residual column is zero and
-    sits at the clamp; at either end of the eps range no weight is 0/0,
-    inf or all zero."""
+    sits at the clamp.  The clamp follows the data's scale down to its
+    floor, so at either end (about 1e-150, where the floor holds it, and
+    1e150, where ||X||_F^2 is near the float range) no weight is 0/0, inf
+    or all zero."""
     path = tmp_path / "data.csv"
-    path.write_text("1,2\n-1,-2\n0,0\n3,-1\n-3,1\n")
+    rows = np.array([[1, 2], [-1, -2], [0, 0], [3, -1], [-3, 1]]) * scale
+    write_matrix_csv(path, rows)
     capsys.readouterr()
     for flags in ([], ["--solver", "irls"], ["--solver", "momentum"], ["--norm", "l2p", "--p", "0.1"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["fit", "--input", str(path), "--k", "1", "--eps", eps, *flags,
+            assert main(["fit", "--input", str(path), "--k", "1", *flags,
                          "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == "", flags
 
@@ -453,6 +458,9 @@ def test_bench_flag_validation(tmp_path):
     assert main(["bench", "--m", "5", "--n", "20", "--out", out]) == 2
     assert main(["bench", "--m", "5", "--n", "20", "--k-true", "2",
                  "--repeats", "0", "--out", out]) == 2
+    # the weight clamp follows the data's scale; there is no --eps
+    assert main(["bench", "--m", "5", "--n", "20", "--k-true", "2",
+                 "--eps", "1e-10", "--out", out]) == 2
 
 
 # -------------------------------------------------------------------- rerun
@@ -598,10 +606,8 @@ USAGE_CASES = {
     "bench_solver_variant": ("bench", None, {"solver.variant": "irls"}),
     "bench_solver_seed_differs": ("bench", None, {"solver.seed": 1}),
     "fit_huge_integer_tol": ("fit", None, {"solver.tol": 10 ** 400}),
-    # eps**2 is the l1 clamp: it must be neither 0 nor inf
-    "fit_eps_squared_underflows": ("fit", ["--eps", "1e-200"], {"solver.eps": 1e-200}),
-    "fit_eps_squared_overflows": ("fit", ["--eps", "1e160"], {"solver.eps": 1e160}),
-    "bench_huge_eps": ("bench", ["--eps", "1e300"], {"solver.eps": 1e300}),
+    # a manifest written before the clamp followed the data's scale
+    "fit_retired_eps": ("fit", None, {"solver.eps": 1e-10}),
 }
 
 
@@ -624,9 +630,11 @@ def test_usage_errors_exit_two_from_flags_and_manifest(tmp_path, capsys, case):
     assert not out.exists()
     if case == "fit_unknown_norm":
         assert "'bogus'" in err
+    if case == "fit_retired_eps":
+        assert err == "error: manifest config 'solver' has an unknown entry 'eps'\n"
 
 
-_SOLVER = {"variant": None, "max_iter": None, "tol": None, "eps": None, "init": None, "seed": None}
+_SOLVER = {"variant": None, "max_iter": None, "tol": None, "init": None, "seed": None}
 _SPEC = {"m": None, "n": None, "k_true": None, "noise_sigma": None, "outlier_frac": None,
          "outlier_scale": None, "seed": None}
 _NORM = {"kind": None, "p": None}
@@ -653,7 +661,11 @@ def test_manifest_config_layout(tmp_path, command):
     synth_dir = _synth(tmp_path)
     assert main(_run_argv(command, synth_dir, tmp_path / "run")) == 0
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-    assert set(manifest) == {"tool", "version", "command", "config", "inputs", "outputs", "seed"}
+    assert set(manifest) == {"tool", "version", "command", "config", "inputs", "outputs", "seed",
+                             "numpy", *BLAS_THREAD_VARIABLES}
+    assert manifest["numpy"] == np.__version__
+    for name in BLAS_THREAD_VARIABLES:
+        assert manifest[name] == os.environ.get(name)
     assert _key_tree(manifest["config"]) == CONFIG_LAYOUT[command]
     if command == "bench":  # pinned: bench runs every variant from one seed
         config = manifest["config"]

@@ -31,6 +31,9 @@ def test_spec_validation_names_the_field():
 @pytest.mark.parametrize("field, value", (
     ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
     ("outlier_scale", float("nan")), ("outlier_scale", float("inf")),
+    # ints past the float range
+    pytest.param("noise_sigma", 10 ** 400, id="noise_sigma-10**400"),
+    pytest.param("outlier_scale", 10 ** 400, id="outlier_scale-10**400"),
     ("seed", -1),
 ))
 def test_spec_rejects_non_finite_scales_and_negative_seeds(field, value):

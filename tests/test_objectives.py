@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from repca import DataMatrix, DimensionMismatch, InvalidSpec, NormSpec, Projection, SolverConfig, objective_value
+from repca import DataMatrix, DimensionMismatch, InvalidSpec, NormSpec, Projection, objective_value
 from repca.objectives import _project_out, column_stats, objective_from_stats, weighted_scatter, weights_from_stats
 
 E1 = Projection(np.array([[1.0], [0.0]]))
-EPS = SolverConfig().eps
+EPS = 1e-10  # a clamp on residual column norms
 L1 = NormSpec.l1()
 
 
@@ -193,23 +193,22 @@ def test_column_stats_match_textbook_losses_and_weights():
     rng = np.random.default_rng(8)
     for _ in range(20):
         r = rng.standard_normal((int(rng.integers(1, 30)), int(rng.integers(1, 60))))
-        r[:, 0] = 0.0  # one column at the eps clamp
-        eps = 1e-10
+        r[:, 0] = 0.0  # one column at the clamp
         l1 = NormSpec.l1()
         stats = column_stats(r, l1)
         assert objective_from_stats(stats, l1) == pytest.approx(np.abs(r).sum(), rel=1e-14)
         assert objective_from_stats(stats, NormSpec.fro()) == pytest.approx((r * r).sum(), rel=1e-14)
-        want = np.abs(r).sum(axis=0) / np.maximum((r * r).sum(axis=0), eps * eps)
-        np.testing.assert_allclose(weights_from_stats(stats, l1, eps), want, rtol=1e-14, atol=0)
+        want = np.abs(r).sum(axis=0) / np.maximum((r * r).sum(axis=0), EPS * EPS)
+        np.testing.assert_allclose(weights_from_stats(stats, l1, EPS), want, rtol=1e-14, atol=0)
         for p in (0.5, 1.0, 1.5, 2.0):
             norm = NormSpec.l2p(p)
             stats = column_stats(r, norm)
             col_norms = np.sqrt((r * r).sum(axis=0))
             assert objective_from_stats(stats, norm) == pytest.approx((col_norms ** p).sum(), rel=1e-14)
-            want = p * np.maximum(col_norms, eps) ** (p - 2.0)
-            np.testing.assert_allclose(weights_from_stats(stats, norm, eps), want, rtol=1e-14, atol=0)
+            want = p * np.maximum(col_norms, EPS) ** (p - 2.0)
+            np.testing.assert_allclose(weights_from_stats(stats, norm, EPS), want, rtol=1e-14, atol=0)
     with pytest.raises(InvalidSpec):
-        weights_from_stats(stats, NormSpec.fro(), eps)
+        weights_from_stats(stats, NormSpec.fro(), EPS)
 
 
 # ---------------------------------------------------------------- gradients
