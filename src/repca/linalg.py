@@ -11,10 +11,11 @@ solver loop calls every round (``procrustes_project``, ``top_r_eigvecs``,
 ``spectral_norm``) take and return plain ndarrays instead.  They keep the
 checks that can fail on a solver's intermediates (shape, rank, a cut out
 of range, non-finite entries) and skip the copy, the symmetry norm and the
-orthonormality check, which the caller vouches for: the loop hands them
-syrk products, exactly symmetric, and wraps its basis in a ``Projection``
-where it leaves the loop.  None warns: ``top_r_eigvecs`` returns a closed
-eigengap at its cut as a flag, for the caller to count or warn about.
+orthonormality check, which the caller vouches for: the loop hands the
+eigen helpers syrk products, exactly symmetric, and wraps its basis in a
+``Projection`` where it leaves the loop.  None warns: ``top_r_eigvecs``
+returns a closed eigengap at its cut as a flag, for the caller to count
+or warn about.
 
 Memory at the door: building a ``DataMatrix`` allocates its m-by-n copy
 plus an m-by-n boolean for the finiteness scan, and the centered check
@@ -252,7 +253,7 @@ def spectral_norm(matrix: np.ndarray) -> float:
     of the top eigenvalue and minus the bottom one, from one LAPACK
     eigenvalue call.  A zero matrix, of +0.0 or -0.0 entries, gives 0.0.
 
-    The solvers call this on the small m-by-m scatter matrix, where that
+    The momentum step calls this on the m-by-m scatter matrix, where that
     call is accurate to rounding and cheaper than an iterative estimate.
     """
     vals = np.linalg.eigvalsh(_square(matrix))

@@ -3,8 +3,8 @@
 All three losses measure the same residual Y = X - W W^T X.  The robust
 ones (elementwise l1, columnwise l2,p) are handled by reweighting: a
 nonnegative per-sample diagonal d turns the loss into the weighted
-quadratic tr(Y diag(d) Y^T), which the solvers can decrease with a fixed
-step.  ``objective_value`` always reports the true, unclamped loss; the
+quadratic tr(Y diag(d) Y^T), which the pgd and irls steps never raise.
+``objective_value`` always reports the true, unclamped loss; the
 clamp c on residual column norms, which ``solvers.fit`` sets from the
 data's scale, only guards the weight denominators.  For l2p the clamped
 weights are, up to a factor 2 that moves no step, the MM weights of the

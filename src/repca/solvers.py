@@ -3,18 +3,36 @@
 ``fit`` is the only code that computes a basis.  For fro it returns the
 closed-form minimizer, the vanilla start (``vanilla_pca`` returns it too),
 and runs no round.  For l1 and l2p it runs one reweighted
-majorize-minimize (MM) loop.  Each round forms the residual X - W W^T X
-once, in place, and reduces it to ``objectives.column_stats``; the
-objective, the weight diagonal d and the span-floor test follow from
-those.  It then forms M = X diag(d) X^T and takes the step
-``SolverConfig.variant`` names, which decreases the weighted quadratic
-tr(Y diag(d) Y^T) built around the current basis:
+majorize-minimize (MM) loop.  Each round forms the residual
+X - W W^T X once, in place, and reduces it to ``objectives.column_stats``;
+the objective, the weight diagonal d and the span-floor test follow from
+those.  With M = X diag(d) X^T, the weighted quadratic built around the
+current basis is tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
+``SolverConfig.variant`` names raises tr(W^T M W):
 
-* ``pgd``       W + M W / ||M||_2, retracted with the nearest-orthonormal
-                (Procrustes) projection: the descent-guaranteed 1/L step.
-* ``momentum``  the same step, along the scatter built at W, taken from
-                V = W + (s-2)/(s+1) (W - W_old); no monotone guarantee.
+* ``pgd``       polar((M + sigma I) W), the nearest-orthonormal (Procrustes)
+                factor of the shifted power step: the generalized power
+                method (Journee, Nesterov, Richtarik & Sepulchre, 2010).
+                M W is taken as X (d * (X^T W)), 4mnk flops, so the step
+                forms no m x m matrix and no spectrum.  The shift
+                is sigma = POWER_SHIFT_RTOL tr(M), where
+                tr(M) = sum_i d_i ||x_i||^2 comes from X's column norms,
+                taken once per fit.
+* ``momentum``  W + M V / ||M||_2, retracted, from the extrapolated
+                V = W + (s-2)/(s+1) (W - W_old), with M formed as a syrk
+                product; no monotone guarantee.
 * ``irls``      the top-k eigenvectors of M; increases are counted.
+
+pgd's step never lowers tr(W^T M W): f(W) = tr(W^T (M + sigma I) W) is
+convex, so f(W') >= f(W) + <grad f(W), W' - W>, and the polar factor W'
+maximizes <(M + sigma I) W, W'> over orthonormal W'; on those, f differs
+from tr(W^T M W) only by the constant sigma k.  Any sigma >= 0 keeps that
+guarantee.  The shift bounds s_min / s_max of (M + sigma I) W below by
+POWER_SHIFT_RTOL / (1 + POWER_SHIFT_RTOL), since s_min >= sigma and
+s_max <= tr(M) + sigma, so the retraction's rank test cannot trip even
+when the weights span the clamp.  The gradient step W + M W / ||M||_2
+(momentum's, at V = W) is this step with sigma = ||M||_2; the smaller
+shift takes longer steps, and 2-3 times fewer rounds.
 
 The weights clamp residual column norms at CLAMP_RTOL times the data's RMS
 column norm ||X||_F / sqrt(n), so that a fit does not depend on the data's
@@ -61,6 +79,9 @@ SPAN_RTOL = 1e-12
 # Residual column norms are clamped at this fraction of the RMS column norm.
 CLAMP_RTOL = 1e-10
 CLAMP_FLOOR = math.sqrt(sys.float_info.min)
+# pgd's shift sigma as a fraction of tr(M).  It keeps s_min / s_max of
+# (M + sigma I) W at or above 1e-4 / (1 + 1e-4); a smaller one saves no rounds.
+POWER_SHIFT_RTOL = 1e-4
 # The random start draws from its own stream of the seed.  datagen draws the
 # planted basis first from default_rng(seed), so a start drawn from that
 # same stream would be the planted basis whenever the seeds agree.
@@ -208,8 +229,10 @@ def fit(
     frobenius = _frobenius_norm(x)
     floor, clamp = SPAN_RTOL * frobenius, weight_clamp(frobenius, data.n_samples)
     w, gap_closed = _initial_basis(data, k, config)
-    w_old = w  # momentum's previous iterate: round 1 is a plain pgd step
+    w_old = w  # momentum's previous iterate: round 1 does not extrapolate
     gap_events = int(gap_closed)
+    # ||x_i||^2, for pgd's tr(M) = sum_i d_i ||x_i||^2
+    col_sq = np.einsum("ij,ij->j", x, x) if config.variant == "pgd" else None
     stats = _basis_stats(x, w, norm)
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
@@ -221,15 +244,17 @@ def fit(
         if math.sqrt(stats.sq.sum()) <= floor:
             converged = True
             break
-        scatter = weighted_scatter(data, _weights_for(norm, stats, clamp))
-        if config.variant == "irls":
-            w, gap_closed = top_r_eigvecs(scatter, k)
+        d = _weights_for(norm, stats, clamp)
+        if config.variant == "pgd":
+            shift = POWER_SHIFT_RTOL * float(d @ col_sq)
+            w = procrustes_project(x @ ((w.T @ x) * d).T + shift * w)
+        elif config.variant == "irls":
+            w, gap_closed = top_r_eigvecs(weighted_scatter(data, d), k)
             gap_events += gap_closed
         else:
-            v = w
-            if config.variant == "momentum":
-                s = iterations + 1
-                v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
+            scatter = weighted_scatter(data, d)
+            s = iterations + 1
+            v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
             w, w_old = procrustes_project(v + (scatter @ v) / spectral_norm(scatter)), w
         stats = _basis_stats(x, w, norm)
         trace.append(objective_from_stats(stats, norm))

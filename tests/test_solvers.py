@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import repca.solvers
 from repca import (
     DataMatrix,
     DimensionMismatch,
@@ -23,7 +24,8 @@ from repca import (
 )
 from repca.linalg import procrustes_project, spectral_norm, top_r_eigvecs
 from repca.objectives import column_stats, objective_from_stats, weighted_scatter, weights_from_stats
-from repca.solvers import VARIANTS, check_convergence, count_monotone_violations, weight_clamp
+from repca.solvers import (POWER_SHIFT_RTOL, VARIANTS, check_convergence, count_monotone_violations,
+                            weight_clamp)
 
 
 def _instance(seed, m=12, n=90, k=3, noise=0.1, frac=0.0, scale=1.0):
@@ -268,26 +270,32 @@ def test_random_start_is_not_the_planted_basis(seed):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fit_replays_from_the_building_blocks(variant, norm):
     """Four rounds rebuilt from the building blocks equal ``fit`` byte
-    for byte.  Round 3 is the first whose momentum coefficient, 1/4, is
+    for byte.  pgd's round is the shifted power step on the factored
+    product, polar(X (d * X^T W) + sigma W) with sigma = POWER_SHIFT_RTOL
+    tr(M).  Round 3 is the first whose momentum coefficient, 1/4, is
     nonzero; in round 1 the extrapolation vanishes (W_old = W_0), so that
     round is a plain gradient step."""
     data, _ = _instance(0, m=10, n=200, k=2, frac=0.1, scale=5.0)
     config = SolverConfig(variant=variant, max_iter=4, tol=0.0)
     x = data.values
     clamp = weight_clamp(np.linalg.norm(x), data.n_samples)
+    col_sq = np.einsum("ij,ij->j", x, x)
     w = w_old = top_r_eigvecs(x @ x.T, 2)[0]
     stats = column_stats(x - w @ (w.T @ x), norm)
     trace = [objective_from_stats(stats, norm)]
     for s in range(1, 5):
-        scatter = weighted_scatter(data, weights_from_stats(stats, norm, clamp))
-        if variant == "irls":
+        d = weights_from_stats(stats, norm, clamp)
+        scatter = weighted_scatter(data, d)
+        if variant == "pgd":
+            shift = POWER_SHIFT_RTOL * float(d @ col_sq)
+            np.testing.assert_allclose(shift, POWER_SHIFT_RTOL * np.trace(scatter), rtol=1e-12)
+            w = procrustes_project(x @ ((w.T @ x) * d).T + shift * w)
+        elif variant == "irls":
             w = top_r_eigvecs(scatter, 2)[0]
         else:
-            v = w
-            if variant == "momentum":
-                v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
-                if s == 1:
-                    np.testing.assert_array_equal(v, w)
+            v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
+            if s == 1:
+                np.testing.assert_array_equal(v, w)
             w, w_old = procrustes_project(v + (scatter @ v) / spectral_norm(scatter)), w
         stats = column_stats(x - w @ (w.T @ x), norm)
         trace.append(objective_from_stats(stats, norm))
@@ -295,6 +303,23 @@ def test_fit_replays_from_the_building_blocks(variant, norm):
     assert out.iterations == 4
     np.testing.assert_array_equal(out.projection.values, w)
     np.testing.assert_array_equal(out.objective_trace, trace)
+
+
+def test_pgd_forms_no_scatter_and_no_spectrum(monkeypatch):
+    """pgd's step takes M W as X (d * X^T W): it never builds the m x m
+    scatter M, and needs no eigenvalue of it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("pgd called a dense-scatter helper")
+
+    data, _ = _instance(3, m=10, n=200, k=2, frac=0.1, scale=5.0)
+    want = [fit(data, 2, norm, SolverConfig()) for norm in (NormSpec.l1(), NormSpec.l2p(0.5))]
+    monkeypatch.setattr(repca.solvers, "weighted_scatter", refuse)
+    monkeypatch.setattr(repca.solvers, "spectral_norm", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for norm, before in zip((NormSpec.l1(), NormSpec.l2p(0.5)), want):
+        out = fit(data, 2, norm, SolverConfig())
+        assert out.converged and out.iterations >= 5
+        assert out.projection.values.tobytes() == before.projection.values.tobytes()
 
 
 def test_callback_sees_every_iterate():
@@ -375,6 +400,66 @@ def test_pgd_columnwise_trace_never_increases():
         p = float(rng.uniform(0.5, 2.0))
         out = fit(data, k, NormSpec.l2p(p), SolverConfig(variant="pgd", max_iter=150, tol=1e-10))
         assert out.monotone_violations == 0
+
+
+@pytest.mark.parametrize("norm", (NormSpec.l1(), NormSpec.l2p(1.0), NormSpec.l2p(0.5)),
+                         ids=("l1", "l2p1", "l2p0.5"))
+def test_pgd_recovers_noiseless_data_from_a_random_start(norm):
+    """The power step ascends tr(W^T M W) without a step-size bound, so pgd
+    reaches the planted subspace of noiseless data in a few rounds.  The
+    1/lambda_max gradient step ran 500 rounds to J = 5.27 on l1 here."""
+    data, w_true, _ = synth_subspace(SynthSpec(m=6, n=50, k_true=2))
+    out = fit(data, 2, norm, SolverConfig(init="random"))
+    assert out.converged and out.iterations <= 10
+    assert principal_angles(out.projection, w_true).max() < 1e-12
+
+
+def test_pgd_leaves_the_l1_plateau_where_irls_ends():
+    """On 60 x 8 Gaussian data, k = 3, the 1/lambda_max step crept to a stop
+    at J = 203.44; the power step ends at irls's J = 197.11."""
+    data = _centered(np.random.default_rng(0).standard_normal((60, 8)))
+    pgd = fit(data, 3, NormSpec.l1(), SolverConfig())
+    irls = fit(data, 3, NormSpec.l1(), SolverConfig(variant="irls"))
+    assert pgd.converged and irls.converged
+    assert pgd.objective_trace[-1] == pytest.approx(irls.objective_trace[-1], rel=1e-6)
+
+
+def _rank1_outliers(seed, frac, m=10, n=200, k=2, scale=5.0):
+    """Planted data whose outliers all lie on one random line, at ``scale``."""
+    spec = SynthSpec(m=m, n=n, k_true=k, noise_sigma=0.1, outlier_frac=frac,
+                     outlier_scale=scale, seed=seed)
+    data, _, mask = synth_subspace(spec)
+    rng = np.random.default_rng([seed, 2])
+    line = rng.standard_normal(m)
+    x = np.array(data.values)
+    x[:, mask] = scale * np.outer(line / np.linalg.norm(line), rng.standard_normal(int(mask.sum())))
+    return _centered(x)
+
+
+def test_pgd_shift_keeps_the_power_step_full_rank_on_rank1_outliers():
+    """Once the basis holds the outlier line, those residuals fall to the
+    clamp and their weights reach c^(p-2): the unshifted product M W is
+    then rank deficient to rounding, and polar(M W) would raise.  The shift
+    sigma = 1e-4 tr(M) bounds s_min / s_max of (M + sigma I) W below by
+    1e-4 / (1 + 1e-4), so pgd never raises."""
+    ratios = []
+    for frac in (0.1, 0.2, 0.3):
+        for norm in (NormSpec.l2p(0.5), NormSpec.l2p(1.0)):
+            for seed in range(8):
+                data = _rank1_outliers(seed, frac)
+                x = data.values
+                clamp = weight_clamp(np.linalg.norm(x), data.n_samples)
+
+                def unshifted(it, basis, obj):
+                    w = basis.values
+                    d = weights_from_stats(column_stats(x - w @ (w.T @ x), norm), norm, clamp)
+                    s = np.linalg.svd(x @ ((w.T @ x) * d).T, compute_uv=False)
+                    ratios.append(s[-1] / s[0])
+
+                out = fit(data, 2, norm, SolverConfig(), callback=unshifted)
+                assert np.isfinite(out.objective_trace).all()
+    assert len(ratios) > 48
+    assert min(ratios) <= 1e-12  # the planted case reaches the hazard
 
 
 def test_solvers_converge_and_report_it():
