@@ -7,12 +7,12 @@ repeated runs of the same build produce identical bits.
 The types (``DataMatrix``, ``Projection``, ``SymmetricMatrix``) copy their
 input arrays, in C (row-major) order, check them and freeze them on
 construction: holding one is proof of its invariant.  The helpers the
-solver loop calls every round (``procrustes_project``, ``top_r_eigvecs``,
-``spectral_norm``) take and return plain ndarrays instead.  They keep the
-checks that can fail on a solver's intermediates (shape, rank, a cut out
-of range, non-finite entries) and skip the copy, the symmetry norm and the
-orthonormality check, which the caller vouches for: the loop hands the
-eigen helpers syrk products, exactly symmetric, and wraps its basis in a
+solver loop calls every round (``procrustes_project``, ``top_r_eigvecs``)
+take and return plain ndarrays instead.  They keep the checks that can
+fail on a solver's intermediates (shape, rank, a cut out of range,
+non-finite entries) and skip the copy, the symmetry norm and the
+orthonormality check, which the caller vouches for: the loop hands
+``top_r_eigvecs`` syrk products, exactly symmetric, and wraps its basis in a
 ``Projection`` where it leaves the loop.  None warns: ``top_r_eigvecs``
 returns a closed eigengap at its cut as a flag, for the caller to count
 or warn about.
@@ -133,7 +133,7 @@ class SymmetricMatrix:
     exactly so downstream eigendecompositions see clean input.
 
     No solver builds one: ``fit`` hands its exactly symmetric syrk
-    products to ``spectral_norm`` and ``top_r_eigvecs`` as plain arrays."""
+    products to ``top_r_eigvecs`` as plain arrays."""
 
     values: np.ndarray
 
@@ -253,8 +253,7 @@ def spectral_norm(matrix: np.ndarray) -> float:
     of the top eigenvalue and minus the bottom one, from one LAPACK
     eigenvalue call.  A zero matrix, of +0.0 or -0.0 entries, gives 0.0.
 
-    The momentum step calls this on the m-by-m scatter matrix, where that
-    call is accurate to rounding and cheaper than an iterative estimate.
+    No solver calls it; the benchmark's tracer still patches the name.
     """
     vals = np.linalg.eigvalsh(_square(matrix))
     # The larger one is never below zero; abs only clears the sign of -0.0.

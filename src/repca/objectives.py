@@ -144,7 +144,7 @@ def weighted_scatter(data: DataMatrix, weights: np.ndarray) -> np.ndarray:
     BLAS syrk, which computes one triangle (half the flops of a general
     product) and mirrors it, so the returned array is exactly symmetric
     and positive semidefinite up to rounding.  Entries that overflow are
-    left as inf for ``spectral_norm`` or ``top_r_eigvecs`` to reject.
+    left as inf for ``top_r_eigvecs`` to reject.
     """
     x = data.values
     d = np.asarray(weights, dtype=float)

@@ -10,17 +10,16 @@ those.  With M = X diag(d) X^T, the weighted quadratic built around the
 current basis is tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
 ``SolverConfig.variant`` names raises tr(W^T M W):
 
-* ``pgd``       polar((M + sigma I) W), the nearest-orthonormal (Procrustes)
-                factor of the shifted power step: the generalized power
-                method (Journee, Nesterov, Richtarik & Sepulchre, 2010).
-                M W is taken as X (d * (X^T W)), 4mnk flops, so the step
-                forms no m x m matrix and no spectrum.  The shift
-                is sigma = POWER_SHIFT_RTOL tr(M), where
+* ``pgd``       polar((M + sigma I) V) at V = W, the nearest-orthonormal
+                (Procrustes) factor of the shifted power step: the
+                generalized power method (Journee, Nesterov, Richtarik &
+                Sepulchre, 2010).  M V is taken as X (d * (X^T V)), 4mnk
+                flops, so the step forms no m x m matrix and no spectrum.
+                The shift is sigma = POWER_SHIFT_RTOL tr(M), where
                 tr(M) = sum_i d_i ||x_i||^2 comes from X's column norms,
                 taken once per fit.
-* ``momentum``  W + M V / ||M||_2, retracted, from the extrapolated
-                V = W + (s-2)/(s+1) (W - W_old), with M formed as a syrk
-                product; no monotone guarantee.
+* ``momentum``  the same step from V = W + (s-2)/(s+1) (W - W_old) in
+                round s; no monotone guarantee.
 * ``irls``      the top-k eigenvectors of M; increases are counted.
 
 pgd's step never lowers tr(W^T M W): f(W) = tr(W^T (M + sigma I) W) is
@@ -30,9 +29,10 @@ from tr(W^T M W) only by the constant sigma k.  Any sigma >= 0 keeps that
 guarantee.  The shift bounds s_min / s_max of (M + sigma I) W below by
 POWER_SHIFT_RTOL / (1 + POWER_SHIFT_RTOL), since s_min >= sigma and
 s_max <= tr(M) + sigma, so the retraction's rank test cannot trip even
-when the weights span the clamp.  The gradient step W + M W / ||M||_2
-(momentum's, at V = W) is this step with sigma = ||M||_2; the smaller
-shift takes longer steps, and 2-3 times fewer rounds.
+when the weights span the clamp.  momentum's V = (1 + b) W - b W_old, with
+b = (s-2)/(s+1) in [0, 1) once W_old differs from W, has singular values
+in [1, 1 + 2b] (for unit u, ||V u|| is within b of (1 + b) ||W u||), so for
+its step the bound is POWER_SHIFT_RTOL / (3 (1 + POWER_SHIFT_RTOL)).
 
 The weights clamp residual column norms at CLAMP_RTOL times the data's RMS
 column norm ||X||_F / sqrt(n), so that a fit does not depend on the data's
@@ -62,7 +62,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, SpectrumGapWarning, require_int, require_real
-from .linalg import DataMatrix, Projection, procrustes_project, top_r_eigvecs, spectral_norm
+from .linalg import DataMatrix, Projection, procrustes_project, top_r_eigvecs
+from .linalg import spectral_norm  # noqa: F401  (benchmarks/tracing.py wraps this name)
 from .objectives import (
     ColumnStats,
     NormSpec,
@@ -79,8 +80,8 @@ SPAN_RTOL = 1e-12
 # Residual column norms are clamped at this fraction of the RMS column norm.
 CLAMP_RTOL = 1e-10
 CLAMP_FLOOR = math.sqrt(sys.float_info.min)
-# pgd's shift sigma as a fraction of tr(M).  It keeps s_min / s_max of
-# (M + sigma I) W at or above 1e-4 / (1 + 1e-4); a smaller one saves no rounds.
+# The power step's shift sigma as a fraction of tr(M): it keeps s_min / s_max
+# of (M + sigma I) V at or above 1e-4 / (3 (1 + 1e-4)); a smaller one saves no rounds.
 POWER_SHIFT_RTOL = 1e-4
 # The random start draws from its own stream of the seed.  datagen draws the
 # planted basis first from default_rng(seed), so a start drawn from that
@@ -231,8 +232,8 @@ def fit(
     w, gap_closed = _initial_basis(data, k, config)
     w_old = w  # momentum's previous iterate: round 1 does not extrapolate
     gap_events = int(gap_closed)
-    # ||x_i||^2, for pgd's tr(M) = sum_i d_i ||x_i||^2
-    col_sq = np.einsum("ij,ij->j", x, x) if config.variant == "pgd" else None
+    # ||x_i||^2, for the power step's tr(M) = sum_i d_i ||x_i||^2
+    col_sq = np.einsum("ij,ij->j", x, x) if config.variant != "irls" else None
     stats = _basis_stats(x, w, norm)
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
@@ -245,17 +246,16 @@ def fit(
             converged = True
             break
         d = _weights_for(norm, stats, clamp)
-        if config.variant == "pgd":
-            shift = POWER_SHIFT_RTOL * float(d @ col_sq)
-            w = procrustes_project(x @ ((w.T @ x) * d).T + shift * w)
-        elif config.variant == "irls":
+        if config.variant == "irls":
             w, gap_closed = top_r_eigvecs(weighted_scatter(data, d), k)
             gap_events += gap_closed
         else:
-            scatter = weighted_scatter(data, d)
-            s = iterations + 1
-            v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
-            w, w_old = procrustes_project(v + (scatter @ v) / spectral_norm(scatter)), w
+            v = w
+            if config.variant == "momentum":
+                s = iterations + 1
+                v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
+            shift = POWER_SHIFT_RTOL * float(d @ col_sq)
+            w, w_old = procrustes_project(x @ ((v.T @ x) * d).T + shift * v), w
         stats = _basis_stats(x, w, norm)
         trace.append(objective_from_stats(stats, norm))
         iterations += 1
