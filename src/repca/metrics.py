@@ -70,7 +70,7 @@ def evaluate(
     """
     l1 = NormSpec.l1()
     _check_pair(data, basis)
-    stats = _basis_stats(data.values, basis.values, l1)
+    stats, _ = _basis_stats(data.values, basis.values, l1)
     p_used = norm.p if norm.kind == "l2p" else 1.0
     angles = principal_angles(basis, reference) if reference is not None else None
     return EvalReport(

@@ -14,7 +14,12 @@ loss Huberized at c: h(t) = t^p for t >= c, (p/2) c^(p-2) t^2 +
 Every loss and every weight diagonal is computed from the residual's
 per-column sums, ``column_stats``: the sums of squares and, for l1, the
 sums of |Y|, and only from those.  There is one formula per loss, shared
-by the objective, the weights, the solvers and ``metrics.evaluate``.  The
+by the objective, the weights, the solvers and ``metrics.evaluate``.
+For a basis W, ``_basis_stats`` takes T = W^T X in one product, then
+forms and reduces X_b - W T_b one block of columns at a time in a buffer
+of about ``_BLOCK_BYTES``, so the m x n residual is never held whole and
+each block is reduced while it is still in cache.  The block width is
+fixed by m and n alone, so the sums do not depend on the caller.  The
 reweighted scatter X diag(d) X^T is built as Z Z^T with
 Z = X diag(sqrt d), a symmetric rank-n update that is exactly symmetric.
 """
@@ -74,13 +79,6 @@ def _check_pair(data: DataMatrix, basis: Projection) -> None:
         )
 
 
-def _project_out(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X - W (W^T X), written into the buffer that holds W (W^T X)."""
-    r = w @ (w.T @ x)
-    np.subtract(x, r, out=r)
-    return r
-
-
 class ColumnStats(NamedTuple):
     """Per-column sums of a residual Y."""
 
@@ -103,9 +101,55 @@ def column_stats(resid: np.ndarray, norm: NormSpec) -> ColumnStats:
     return _column_sums(np.array(resid, dtype=float), norm)
 
 
-def _basis_stats(x: np.ndarray, w: np.ndarray, norm: NormSpec) -> ColumnStats:
-    """``column_stats`` of X - W (W^T X), reduced in the residual's own buffer."""
-    return _column_sums(_project_out(x, w), norm)
+# The residual is formed and reduced this many bytes of columns at a time:
+# a block small enough to stay in cache from the product that writes it to
+# the passes that reduce it, large enough that per-block overhead is small.
+_BLOCK_BYTES = 1 << 20
+# ...but at least this many columns, so that m >> n data is not reduced
+# column by column.
+_BLOCK_MIN_COLS = 32
+
+
+def _residual_buffer(m: int, n: int) -> np.ndarray:
+    """Scratch for ``_basis_stats`` on m x n data: one block of residual
+    columns.  A fit allocates one and passes it to every round."""
+    return np.empty((m, min(n, max(_BLOCK_MIN_COLS, _BLOCK_BYTES // (8 * m)))))
+
+
+def _residual_sums(
+    x: np.ndarray, w: np.ndarray, t: np.ndarray, y: np.ndarray, norm: NormSpec
+) -> ColumnStats:
+    """``column_stats`` of X - W T, formed in ``y``."""
+    np.matmul(w, t, out=y)
+    np.subtract(x, y, out=y)
+    return _column_sums(y, norm)
+
+
+def _basis_stats(
+    x: np.ndarray, w: np.ndarray, norm: NormSpec, buf: np.ndarray | None = None
+) -> tuple[ColumnStats, np.ndarray]:
+    """``column_stats`` of X - W (W^T X), and T = W^T X.
+
+    The residual is formed and reduced one block of columns at a time in
+    ``buf``, from ``_residual_buffer``; one is allocated when none is given.
+    The blocks split the n columns evenly, so none is much narrower than
+    the buffer: a one-column block would take BLAS's gemv path, whose
+    rounding differs from gemm's.
+    """
+    if buf is None:
+        buf = _residual_buffer(*x.shape)
+    t = w.T @ x
+    if buf.shape == x.shape:  # one block
+        return _residual_sums(x, w, t, buf, norm), t
+    m, n = x.shape
+    blocks = -(-n // buf.shape[1])
+    edges = [n * b // blocks for b in range(blocks + 1)]
+    flat = buf.reshape(-1)
+    parts = [_residual_sums(x[:, i:j], w, t[:, i:j], flat[: m * (j - i)].reshape(m, j - i), norm)
+             for i, j in zip(edges, edges[1:])]
+    sq = np.concatenate([part.sq for part in parts])
+    ab = np.concatenate([part.abs for part in parts]) if norm.kind == "l1" else None
+    return ColumnStats(sq, ab), t
 
 
 def objective_from_stats(stats: ColumnStats, norm: NormSpec) -> float:
@@ -134,7 +178,7 @@ def _objective_from_residual(resid: np.ndarray, norm: NormSpec) -> float:
 def objective_value(data: DataMatrix, basis: Projection, norm: NormSpec) -> float:
     """True loss of reconstructing ``data`` through ``basis``.  Never clamped."""
     _check_pair(data, basis)
-    return objective_from_stats(_basis_stats(data.values, basis.values, norm), norm)
+    return objective_from_stats(_basis_stats(data.values, basis.values, norm)[0], norm)
 
 
 def weighted_scatter(data: DataMatrix, weights: np.ndarray) -> np.ndarray:

@@ -3,23 +3,26 @@
 ``fit`` is the only code that computes a basis.  For fro it returns the
 closed-form minimizer, the vanilla start (``vanilla_pca`` returns it too),
 and runs no round.  For l1 and l2p it runs one reweighted
-majorize-minimize (MM) loop.  Each round forms the residual
-X - W W^T X once, in place, and reduces it to ``objectives.column_stats``;
-the objective, the weight diagonal d and the span-floor test follow from
-those.  With M = X diag(d) X^T, the weighted quadratic built around the
-current basis is tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
+majorize-minimize (MM) loop.  Each round reduces the residual
+X - W W^T X to ``objectives.column_stats`` with ``_basis_stats``, which
+takes T = W^T X once and forms the residual a block of columns at a time
+in one buffer per fit; the objective, the weight diagonal d and the
+span-floor test follow from those sums.  With M = X diag(d) X^T, the
+weighted quadratic built around the current basis is
+tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
 ``SolverConfig.variant`` names raises tr(W^T M W):
 
 * ``pgd``       polar((M + sigma I) V) at V = W, the nearest-orthonormal
                 (Procrustes) factor of the shifted power step: the
                 generalized power method (Journee, Nesterov, Richtarik &
-                Sepulchre, 2010).  M V is taken as X (d * (X^T V)), 4mnk
-                flops, so the step forms no m x m matrix and no spectrum.
+                Sepulchre, 2010).  M V is taken as X (d * T)^T with the
+                stats pass's T = V^T X, one 2mnk-flop product, so the step
+                forms no m x m matrix and no spectrum.
                 The shift is sigma = POWER_SHIFT_RTOL tr(M), where
                 tr(M) = sum_i d_i ||x_i||^2 comes from X's column norms,
                 taken once per fit.
 * ``momentum``  the same step from V = W + (s-2)/(s+1) (W - W_old) in
-                round s; no monotone guarantee.
+                round s, with V^T X taken afresh; no monotone guarantee.
 * ``irls``      the top-k eigenvectors of M; increases are counted.
 
 pgd's step never lowers tr(W^T M W): f(W) = tr(W^T (M + sigma I) W) is
@@ -69,6 +72,7 @@ from .objectives import (
     NormSpec,
     _basis_stats,
     _objective_from_residual,  # noqa: F401  (benchmarks/tracing.py wraps this name)
+    _residual_buffer,
     objective_from_stats,
     weighted_scatter,
     weights_from_stats,
@@ -234,7 +238,8 @@ def fit(
     gap_events = int(gap_closed)
     # ||x_i||^2, for the power step's tr(M) = sum_i d_i ||x_i||^2
     col_sq = np.einsum("ij,ij->j", x, x) if config.variant != "irls" else None
-    stats = _basis_stats(x, w, norm)
+    buf = _residual_buffer(*x.shape)
+    stats, t = _basis_stats(x, w, norm, buf)
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
         basis = Projection(w)
@@ -247,16 +252,18 @@ def fit(
             break
         d = _weights_for(norm, stats, clamp)
         if config.variant == "irls":
+            t = None  # not needed; freed before the scatter's m x n Z
             w, gap_closed = top_r_eigvecs(weighted_scatter(data, d), k)
             gap_events += gap_closed
         else:
-            v = w
+            v = w  # t = W^T X from the stats pass
             if config.variant == "momentum":
                 s = iterations + 1
                 v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
+                t = v.T @ x
             shift = POWER_SHIFT_RTOL * float(d @ col_sq)
-            w, w_old = procrustes_project(x @ ((v.T @ x) * d).T + shift * v), w
-        stats = _basis_stats(x, w, norm)
+            w, w_old = procrustes_project(x @ (t * d).T + shift * v), w
+        stats, t = _basis_stats(x, w, norm, buf)
         trace.append(objective_from_stats(stats, norm))
         iterations += 1
         if callback is not None:

@@ -33,7 +33,7 @@ from repca import (
 )
 from repca.cli import SUMMARY_HEADER, main
 from repca.linalg import procrustes_project
-from repca.objectives import _project_out, column_stats, weighted_scatter, weights_from_stats
+from repca.objectives import _basis_stats, column_stats, weighted_scatter, weights_from_stats
 from repca.solvers import weight_clamp
 
 
@@ -99,10 +99,10 @@ def test_columnwise_gradient_matches_finite_differences():
             while True:
                 data = DataMatrix(rng.standard_normal((m, n)))
                 basis = Projection(procrustes_project(rng.standard_normal((m, k))))
-                resid = _project_out(data.values, basis.values)
-                if np.sqrt((resid * resid).sum(axis=0)).min() >= 1e-3:
+                stats, _ = _basis_stats(data.values, basis.values, norm)
+                if np.sqrt(stats.sq).min() >= 1e-3:
                     break
-            d = weights_from_stats(column_stats(resid, norm), norm, CLAMP)
+            d = weights_from_stats(stats, norm, CLAMP)
             grad = _surrogate_slope(data.values, basis.values, d, 1.0)
             delta = _tangent_direction(rng, basis)
             up = objective_value(data, Projection(procrustes_project(basis.values + h * delta)), norm)
@@ -173,7 +173,7 @@ def _huberized_rises(variant: str, p: float) -> list[float]:
         scores = []
 
         def score(it, basis, objective):
-            sq = column_stats(_project_out(x, basis.values), norm).sq
+            sq = _basis_stats(x, basis.values, norm)[0].sq
             h = np.where(sq >= c * c, np.sqrt(sq) ** p, (p / 2) * c ** (p - 2) * sq + (1 - p / 2) * c ** p)
             scores.append(float(h.sum()))
 

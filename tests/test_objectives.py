@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import repca.objectives
 from repca import DataMatrix, DimensionMismatch, InvalidSpec, NormSpec, Projection, objective_value
-from repca.objectives import _project_out, column_stats, objective_from_stats, weighted_scatter, weights_from_stats
+from repca.objectives import _basis_stats, column_stats, objective_from_stats, weighted_scatter, weights_from_stats
 
 E1 = Projection(np.array([[1.0], [0.0]]))
 EPS = 1e-10  # a clamp on residual column norms
@@ -66,7 +67,9 @@ def test_norm_exponent_must_be_a_number(make):
 
 
 def test_residual_is_orthogonal_to_basis():
-    """The residual every round forms, X - W (W^T X), leaving X unchanged."""
+    """The residual every round reduces, X - W (W^T X), is orthogonal to W:
+    its squared column norms are ||x_i||^2 - ||W^T x_i||^2.  X is left
+    unchanged."""
     rng = np.random.default_rng(0)
     for _ in range(20):
         m = int(rng.integers(2, 10))
@@ -75,9 +78,38 @@ def test_residual_is_orthogonal_to_basis():
         x = rng.standard_normal((m, n))
         before = x.copy()
         q, _ = np.linalg.qr(rng.standard_normal((m, k)))
-        r = _project_out(x, q)
-        np.testing.assert_allclose(q.T @ r, 0.0, atol=1e-10)
+        stats, t = _basis_stats(x, q, L1)
+        np.testing.assert_allclose(stats.sq, (x * x).sum(axis=0) - (t * t).sum(axis=0), atol=1e-10)
         assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("m, n, k", ((10, 200, 2), (300, 40, 3), (50, 999, 4), (7, 13, 7)))
+def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
+    """The residual reduced one block of columns at a time has the column
+    sums of the whole residual, for block budgets of 1, 3, 7, n - 1, n and
+    n + 1 columns; bit for bit when one block holds every column.  Narrow
+    blocks can round differently: a one-column product takes BLAS's gemv
+    path.  T is W^T X bit for bit."""
+    rng = np.random.default_rng(m * n)
+    x = rng.standard_normal((m, n))
+    w, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    whole = column_stats(x - w @ (w.T @ x), L1)
+    tol = 1e-13 * (x * x).sum(axis=0)
+    tol_abs = 1e-13 * np.abs(x).sum(axis=0)
+    monkeypatch.setattr(repca.objectives, "_BLOCK_MIN_COLS", 1)
+    for width in (1, 3, 7, n - 1, n, n + 1):
+        monkeypatch.setattr(repca.objectives, "_BLOCK_BYTES", 8 * m * width)
+        for norm in (L1, NormSpec.l2p(0.5)):
+            stats, t = _basis_stats(x, w, norm)
+            assert t.tobytes() == (w.T @ x).tobytes()
+            assert np.all(np.abs(stats.sq - whole.sq) <= tol)
+            if norm.kind == "l1":
+                assert np.all(np.abs(stats.abs - whole.abs) <= tol_abs)
+            else:
+                assert stats.abs is None
+            if width >= n:
+                assert stats.sq.tobytes() == whole.sq.tobytes()
+                assert norm.kind != "l1" or stats.abs.tobytes() == whole.abs.tobytes()
 
 
 def test_residual_dimension_mismatch():
@@ -225,7 +257,7 @@ def test_gradient_matches_surrogate_slope_entrywise():
         x = rng.standard_normal((m, n))
         q, _ = np.linalg.qr(rng.standard_normal((m, k)))
         basis = Projection(q)
-        d = weights_from_stats(column_stats(_project_out(x, q), L1), L1, EPS)
+        d = weights_from_stats(_basis_stats(x, q, L1)[0], L1, EPS)
         g = _surrogate_slope(x, q, d, 2.0)
         delta = _tangent(rng, basis)
 
@@ -249,7 +281,7 @@ def test_gradient_matches_true_columnwise_loss():
             q, _ = np.linalg.qr(rng.standard_normal((m, k)))
             basis = Projection(q)
             norm = NormSpec.l2p(p)
-            d = weights_from_stats(column_stats(_project_out(x, q), norm), norm, EPS)
+            d = weights_from_stats(_basis_stats(x, q, norm)[0], norm, EPS)
             g = _surrogate_slope(x, q, d, 1.0)
             delta = _tangent(rng, basis)
 
@@ -266,7 +298,7 @@ def test_gradient_hand_value():
     # X = I2, W = e1: residual keeps only the second coordinate, so the
     # second sample carries weight 1 (l1) and the scatter is diag(0, 1).
     data = DataMatrix(np.eye(2))
-    d = weights_from_stats(column_stats(_project_out(data.values, E1.values), L1), L1, EPS)
+    d = weights_from_stats(_basis_stats(data.values, E1.values, L1)[0], L1, EPS)
     np.testing.assert_allclose(d, [0.0, 1.0])
     g = _surrogate_slope(data.values, E1.values, d, 2.0)
     np.testing.assert_allclose(g, [[0.0], [0.0]])
