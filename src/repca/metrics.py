@@ -7,7 +7,14 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import DataMatrix, Projection
-from .objectives import NormSpec, _basis_stats, _check_pair, objective_from_stats
+from .objectives import (
+    ColumnStats,
+    NormSpec,
+    _basis_stats,
+    _check_pair,
+    _downdated_sq,
+    objective_from_stats,
+)
 
 
 def principal_angles(basis_a: Projection, basis_b: Projection) -> np.ndarray:
@@ -65,12 +72,15 @@ def evaluate(
     All three reconstruction errors are always reported; ``norm`` only
     chooses the exponent of the l2,p field (losses without a p fall back
     to p = 1).  Each error equals ``objective_value`` under its loss, bit
-    for bit, since both come from the same column sums of the residual.
+    for bit, since both come from the same column sums: |Y| from the l1
+    pass over the residual, the squared norms from the downdate.
     Angles are present exactly when ``reference`` is given.
     """
     l1 = NormSpec.l1()
     _check_pair(data, basis)
-    stats, _ = _basis_stats(data.values, basis.values, l1)
+    x, w = data.values, basis.values
+    l1_stats, t = _basis_stats(x, w, l1)
+    stats = ColumnStats(_downdated_sq(x, w, t), l1_stats.abs)
     p_used = norm.p if norm.kind == "l2p" else 1.0
     angles = principal_angles(basis, reference) if reference is not None else None
     return EvalReport(

@@ -5,9 +5,11 @@ closed-form minimizer, the vanilla start (``vanilla_pca`` returns it too),
 and runs no round.  For l1 and l2p it runs one reweighted
 majorize-minimize (MM) loop.  Each round reduces the residual
 X - W W^T X to ``objectives.column_stats`` with ``_basis_stats``, which
-takes T = W^T X once and forms the residual a block of columns at a time
-in one buffer per fit; the objective, the weight diagonal d and the
-span-floor test follow from those sums.  With M = X diag(d) X^T, the
+takes T = W^T X once.  For l2p it downdates ||x_i||^2, taken once per
+fit, by the column sums of T^2, recomputing from the residual only the
+columns that cancel; for l1 it forms the residual a block of columns at
+a time in one buffer per fit.  The objective, the weight diagonal d and
+the span-floor test follow from those sums.  With M = X diag(d) X^T, the
 weighted quadratic built around the current basis is
 tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
 ``SolverConfig.variant`` names raises tr(W^T M W):
@@ -19,8 +21,8 @@ tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
                 stats pass's T = V^T X, one 2mnk-flop product, so the step
                 forms no m x m matrix and no spectrum.
                 The shift is sigma = POWER_SHIFT_RTOL tr(M), where
-                tr(M) = sum_i d_i ||x_i||^2 comes from X's column norms,
-                taken once per fit.
+                tr(M) = sum_i d_i ||x_i||^2 comes from the same column
+                norms of X.
 * ``momentum``  the same step from V = W + (s-2)/(s+1) (W - W_old) in
                 round s, with V^T X taken afresh; no monotone guarantee.
 * ``irls``      the top-k eigenvectors of M; increases are counted.
@@ -236,10 +238,11 @@ def fit(
     w, gap_closed = _initial_basis(data, k, config)
     w_old = w  # momentum's previous iterate: round 1 does not extrapolate
     gap_events = int(gap_closed)
-    # ||x_i||^2, for the power step's tr(M) = sum_i d_i ||x_i||^2
-    col_sq = np.einsum("ij,ij->j", x, x) if config.variant != "irls" else None
-    buf = _residual_buffer(*x.shape)
-    stats, t = _basis_stats(x, w, norm, buf)
+    # ||x_i||^2: the residual norms are downdated from it, and the power
+    # step's tr(M) = sum_i d_i ||x_i||^2
+    col_sq = np.einsum("ij,ij->j", x, x)
+    buf = _residual_buffer(*x.shape) if norm.kind == "l1" else None
+    stats, t = _basis_stats(x, w, norm, buf, col_sq)
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
         basis = Projection(w)
@@ -263,7 +266,7 @@ def fit(
                 t = v.T @ x
             shift = POWER_SHIFT_RTOL * float(d @ col_sq)
             w, w_old = procrustes_project(x @ (t * d).T + shift * v), w
-        stats, t = _basis_stats(x, w, norm, buf)
+        stats, t = _basis_stats(x, w, norm, buf, col_sq)
         trace.append(objective_from_stats(stats, norm))
         iterations += 1
         if callback is not None:

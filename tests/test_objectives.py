@@ -1,9 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import repca.objectives
 from repca import DataMatrix, DimensionMismatch, InvalidSpec, NormSpec, Projection, objective_value
-from repca.objectives import _basis_stats, column_stats, objective_from_stats, weighted_scatter, weights_from_stats
+from repca.objectives import (
+    DOWNDATE_RTOL,
+    _basis_stats,
+    column_stats,
+    objective_from_stats,
+    weighted_scatter,
+    weights_from_stats,
+)
 
 E1 = Projection(np.array([[1.0], [0.0]]))
 EPS = 1e-10  # a clamp on residual column norms
@@ -83,33 +92,154 @@ def test_residual_is_orthogonal_to_basis():
         assert np.array_equal(x, before)
 
 
+U = 2.0 ** -53  # the unit roundoff
+
+
+def _downdate_bound(m, k, col_sq):
+    """The first-order error bound of a downdated squared residual norm
+    (``objectives`` docstring)."""
+    return (m * (1 + 2 * np.sqrt(k)) + k + 1) * U * col_sq
+
+
+def _direct_bound(m, k, col_sq, sq):
+    """The error bound of a squared residual norm reduced from the formed
+    residual (``objectives`` docstring), with its second-order terms."""
+    x_norm, y_norm = np.sqrt(col_sq), np.sqrt(sq)
+    e = np.sqrt(k) * (m + k) * U * x_norm + U * y_norm  # bounds the error in y_i
+    return 2 * y_norm * e + e * e + (m + 1) * U * (y_norm + e) ** 2
+
+
+def _exact_residual_norms(x, w):
+    """Per column, ||x_i||^2 - ||W^T x_i||^2 and ||x_i - W W^T x_i||^2, in
+    exact rational arithmetic on the floats of ``x`` and ``w``."""
+    xs = [[Fraction(v) for v in col] for col in x.T.tolist()]
+    ws = [[Fraction(v) for v in col] for col in w.T.tolist()]
+    down, resid = [], []
+    for col in xs:
+        t = [sum(a * b for a, b in zip(wj, col)) for wj in ws]
+        y = [c - sum(wj[i] * tj for wj, tj in zip(ws, t)) for i, c in enumerate(col)]
+        down.append(sum(c * c for c in col) - sum(v * v for v in t))
+        resid.append(sum(v * v for v in y))
+    return down, resid
+
+
+def _raw_downdate(x, w):
+    t = w.T @ x
+    col_sq = np.einsum("ij,ij->j", x, x)
+    return col_sq - np.einsum("ij,ij->j", t, t), col_sq
+
+
+def _check_against_exact(x, w, sq):
+    """Each entry of ``sq`` is within the downdate's bound of the exact
+    ||x_i - W W^T x_i||^2 where the downdate stands, and within the formed
+    residual's where it was recomputed.  Returns the flagged columns."""
+    m, k = w.shape
+    raw, col_sq = _raw_downdate(x, w)
+    flagged = ~(raw > DOWNDATE_RTOL * col_sq)
+    down, resid = _exact_residual_norms(x, w)
+    for i, (s, d, r) in enumerate(zip(sq.tolist(), down, resid)):
+        err = float(abs(Fraction(s) - r))
+        if flagged[i]:
+            assert err <= _direct_bound(m, k, col_sq[i], float(r)), (i, s, float(r))
+        else:
+            # The downdate estimates ||x_i||^2 - ||W^T x_i||^2, which differs
+            # from the residual's norm only by W's departure from orthonormality.
+            assert s == raw[i]
+            assert err <= _downdate_bound(m, k, col_sq[i]) + float(abs(d - r)), (i, s, float(r))
+    return flagged
+
+
+def test_downdated_norms_match_exact_arithmetic():
+    """Columns whose squared residual norm is 1e-1 to 1e-6 of ||x_i||^2:
+    the downdated ones are within the downdate's bound of the exact value,
+    and those at or below DOWNDATE_RTOL are recomputed to the formed
+    residual's accuracy."""
+    rng = np.random.default_rng(5)
+    m, k = 8, 3
+    w, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    cols = []
+    for ratio in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        for _ in range(4):
+            a = rng.standard_normal(k)
+            z = rng.standard_normal(m)
+            z -= w @ (w.T @ z)
+            scale = 10.0 ** rng.uniform(-3, 3)
+            cols.append(scale * (np.sqrt(1 - ratio) * w @ (a / np.linalg.norm(a))
+                                 + np.sqrt(ratio) * z / np.linalg.norm(z)))
+    x = np.column_stack(cols)
+    for norm in (NormSpec.l2p(0.5), NormSpec.fro()):
+        stats, _ = _basis_stats(x, w, norm)
+        flagged = _check_against_exact(x, w, stats.sq)
+        # ratios 1e-1 and 1e-2 stand, 1e-4 to 1e-6 are recomputed
+        assert not flagged[:8].any() and flagged[12:].all()
+
+
+def test_cancelled_columns_are_recomputed(monkeypatch):
+    """Zero columns and columns inside span(W), whose downdates are zero,
+    rounding noise or negative, come out at the formed residual's accuracy,
+    for recompute chunks of 1, 3 and every column.  A column whose squared
+    norm overflows gives inf - inf, a NaN that is recomputed too."""
+    rng = np.random.default_rng(8)
+    m, k = 6, 2
+    w, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    x = np.column_stack([np.zeros(m), w @ rng.standard_normal((k, 6)), np.zeros(m),
+                         rng.standard_normal((m, 4))])
+    raw, col_sq = _raw_downdate(x, w)
+    assert (raw[1:7] < 0).any()  # the case is covered
+    monkeypatch.setattr(repca.objectives, "_BLOCK_MIN_COLS", 1)
+    for width in (1, 3, x.shape[1]):
+        monkeypatch.setattr(repca.objectives, "_BLOCK_BYTES", 8 * m * width)
+        for norm in (NormSpec.l2p(0.5), NormSpec.fro()):
+            sq = _basis_stats(x, w, norm, col_sq=col_sq)[0].sq
+            flagged = _check_against_exact(x, w, sq)
+            assert flagged[:8].all() and not flagged[8:].any()
+            assert sq[0] == sq[7] == 0.0 and sq.min() >= 0.0
+    # the downdate alone is not that accurate in the span
+    down, resid = _exact_residual_norms(x, w)
+    assert any(float(abs(Fraction(raw[i]) - resid[i])) > _direct_bound(m, k, col_sq[i], float(resid[i]))
+               for i in range(1, 7))
+    huge = x.copy()
+    huge[:, 8] *= 1e160
+    data, basis = DataMatrix(huge), Projection(w)
+    assert objective_value(data, basis, NormSpec.fro()) == np.inf
+    direct = column_stats(huge - w @ (w.T @ huge), NormSpec.fro()).sq
+    sq = _basis_stats(huge, w, NormSpec.fro())[0].sq
+    assert sq[8] == direct[8] == np.inf and np.isfinite(np.delete(sq, 8)).all()
+
+
 @pytest.mark.parametrize("m, n, k", ((10, 200, 2), (300, 40, 3), (50, 999, 4), (7, 13, 7)))
 def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
-    """The residual reduced one block of columns at a time has the column
-    sums of the whole residual, for block budgets of 1, 3, 7, n - 1, n and
-    n + 1 columns; bit for bit when one block holds every column.  Narrow
-    blocks can round differently: a one-column product takes BLAS's gemv
-    path.  T is W^T X bit for bit."""
+    """For l1, the residual reduced one block of columns at a time has the
+    column sums of the whole residual, for block budgets of 1, 3, 7, n - 1,
+    n and n + 1 columns; bit for bit when one block holds every column.
+    Narrow blocks can round differently: a one-column product takes BLAS's
+    gemv path.  For l2p, whose squared norms are downdated (recomputed in
+    chunks of the same budgets when k = m), they are within the sum of the
+    downdate's and the whole residual's error bounds.  T is W^T X bit for
+    bit."""
     rng = np.random.default_rng(m * n)
     x = rng.standard_normal((m, n))
     w, _ = np.linalg.qr(rng.standard_normal((m, k)))
     whole = column_stats(x - w @ (w.T @ x), L1)
-    tol = 1e-13 * (x * x).sum(axis=0)
+    col_sq = (x * x).sum(axis=0)
+    tol = 1e-13 * col_sq
     tol_abs = 1e-13 * np.abs(x).sum(axis=0)
+    tol_l2p = _downdate_bound(m, k, col_sq) + _direct_bound(m, k, col_sq, whole.sq)
     monkeypatch.setattr(repca.objectives, "_BLOCK_MIN_COLS", 1)
     for width in (1, 3, 7, n - 1, n, n + 1):
         monkeypatch.setattr(repca.objectives, "_BLOCK_BYTES", 8 * m * width)
         for norm in (L1, NormSpec.l2p(0.5)):
             stats, t = _basis_stats(x, w, norm)
             assert t.tobytes() == (w.T @ x).tobytes()
-            assert np.all(np.abs(stats.sq - whole.sq) <= tol)
             if norm.kind == "l1":
+                assert np.all(np.abs(stats.sq - whole.sq) <= tol)
                 assert np.all(np.abs(stats.abs - whole.abs) <= tol_abs)
+                if width >= n:
+                    assert stats.sq.tobytes() == whole.sq.tobytes()
+                    assert stats.abs.tobytes() == whole.abs.tobytes()
             else:
+                assert np.all(np.abs(stats.sq - whole.sq) <= tol_l2p)
                 assert stats.abs is None
-            if width >= n:
-                assert stats.sq.tobytes() == whole.sq.tobytes()
-                assert norm.kind != "l1" or stats.abs.tobytes() == whole.abs.tobytes()
 
 
 def test_residual_dimension_mismatch():

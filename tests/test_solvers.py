@@ -25,9 +25,10 @@ from repca import (
     vanilla_pca,
 )
 from repca.linalg import procrustes_project, top_r_eigvecs
-from repca.objectives import column_stats, objective_from_stats, weighted_scatter, weights_from_stats
-from repca.solvers import (POWER_SHIFT_RTOL, VARIANTS, check_convergence, count_monotone_violations,
-                            weight_clamp)
+from repca.objectives import (DOWNDATE_RTOL, ColumnStats, column_stats, objective_from_stats, weighted_scatter,
+                              weights_from_stats)
+from repca.solvers import (POWER_SHIFT_RTOL, SPAN_RTOL, VARIANTS, check_convergence,
+                            count_monotone_violations, weight_clamp)
 
 
 def _instance(seed, m=12, n=90, k=3, noise=0.1, frac=0.0, scale=1.0):
@@ -272,9 +273,11 @@ def test_random_start_is_not_the_planted_basis(seed):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fit_replays_from_the_building_blocks(variant, norm):
     """Four rounds rebuilt from the building blocks equal ``fit`` byte
-    for byte.  pgd's round is the shifted power step on the factored
-    product, polar(X (d * X^T V) + sigma V) with sigma = POWER_SHIFT_RTOL
-    tr(M), at V = W; momentum's is the same step at its extrapolated V.
+    for byte.  The l1 sums come from the formed residual, the l2p squared
+    norms from the downdate ||x_i||^2 - ||W^T x_i||^2.  pgd's round is the
+    shifted power step on the factored product,
+    polar(X (d * X^T V) + sigma V) with sigma = POWER_SHIFT_RTOL tr(M), at
+    V = W; momentum's is the same step at its extrapolated V.
     Round 3 is the first whose momentum coefficient, 1/4, is nonzero; in
     round 1 the extrapolation vanishes (W_old = W_0), so that round is
     pgd's."""
@@ -284,7 +287,16 @@ def test_fit_replays_from_the_building_blocks(variant, norm):
     clamp = weight_clamp(np.linalg.norm(x), data.n_samples)
     col_sq = np.einsum("ij,ij->j", x, x)
     w = w_old = top_r_eigvecs(x @ x.T, 2)[0]
-    stats = column_stats(x - w @ (w.T @ x), norm)
+
+    def stats_at(w):
+        if norm.kind == "l1":
+            return column_stats(x - w @ (w.T @ x), norm)
+        t = w.T @ x
+        sq = col_sq - np.einsum("ij,ij->j", t, t)
+        assert np.all(sq > DOWNDATE_RTOL * col_sq)  # no column is recomputed
+        return ColumnStats(sq, None)
+
+    stats = stats_at(w)
     trace = [objective_from_stats(stats, norm)]
     for s in range(1, 5):
         d = weights_from_stats(stats, norm, clamp)
@@ -300,7 +312,7 @@ def test_fit_replays_from_the_building_blocks(variant, norm):
             shift = POWER_SHIFT_RTOL * float(d @ col_sq)
             np.testing.assert_allclose(shift, POWER_SHIFT_RTOL * np.trace(scatter), rtol=1e-12)
             w, w_old = procrustes_project(x @ ((v.T @ x) * d).T + shift * v), w
-        stats = column_stats(x - w @ (w.T @ x), norm)
+        stats = stats_at(w)
         trace.append(objective_from_stats(stats, norm))
     out = fit(data, 2, norm, config)
     assert out.iterations == 4
@@ -543,6 +555,24 @@ def test_basis_spanning_the_data_converges_at_once(case, variant, norm):
     assert out.objective_trace[-1] <= 1e-12 * np.abs(data.values).sum()
 
 
+def test_noiseless_fit_at_the_rank_stops_at_the_span_floor():
+    """At k = rank every residual column lies in span(W), so its downdate
+    ||x_i||^2 - ||W^T x_i||^2 is rounding noise far above the span floor;
+    recomputed from the residual it is below it.  The fro fit's objective
+    and every l2p fit stop there, before any step."""
+    data, _ = _instance(13, m=8, n=60, k=2, noise=0.0)
+    x = data.values
+    floor = SPAN_RTOL * np.linalg.norm(x)
+    t = vanilla_pca(data, 2).values.T @ x
+    downdate = np.einsum("ij,ij->j", x, x) - np.einsum("ij,ij->j", t, t)
+    assert np.sqrt(np.abs(downdate).sum()) > floor
+    assert fit(data, 2, NormSpec.fro()).objective_trace[0] <= floor ** 2
+    for variant in VARIANTS:
+        for norm in (NormSpec.l2p(1.0), NormSpec.l2p(0.5)):
+            out = fit(data, 2, norm, SolverConfig(variant=variant))
+            assert out.converged and out.iterations == 0, (variant, norm)
+
+
 @ROBUST_NORMS
 @VARIANT_NAMES
 @pytest.mark.parametrize("case", ("constant", "single_sample", "m_much_greater_than_n"))
@@ -604,15 +634,25 @@ def test_concurrent_fits_count_gaps_exactly():
     assert [(len(out), set(out)) for out in counts] == [(2000, {1}), (2000, {1})]
 
 
-@pytest.mark.parametrize("variant, limit", (("pgd", 0.5), ("momentum", 0.5), ("irls", 1.25)))
-def test_round_memory_stays_below_the_data(variant, limit):
-    """A round forms no m x n array: the residual is reduced a block of
-    columns at a time in one buffer per fit, and the power step's product
-    is m x k.  irls still forms Z = X diag(sqrt d) for its scatter."""
-    data, _ = _instance(0, m=200, n=5000, k=5, frac=0.1, scale=5.0)
+@pytest.mark.parametrize("variant, norm, noise, limit", (
+    pytest.param("pgd", NormSpec.l1(), 0.1, 0.5, id="pgd-0.5"),
+    pytest.param("momentum", NormSpec.l1(), 0.1, 0.5, id="momentum-0.5"),
+    pytest.param("irls", NormSpec.l1(), 0.1, 1.25, id="irls-1.25"),
+    pytest.param("pgd", NormSpec.l2p(0.5), 0.1, 0.1, id="pgd-l2p-0.1"),
+    pytest.param("momentum", NormSpec.l2p(0.5), 0.1, 0.1, id="momentum-l2p-0.1"),
+    pytest.param("pgd", NormSpec.l2p(0.5), 0.0, 0.5, id="pgd-l2p-every-column-recomputed-0.5"),
+))
+def test_round_memory_stays_below_the_data(variant, norm, noise, limit):
+    """A round forms no m x n array.  For l1 the residual is reduced a
+    block of columns at a time in one buffer per fit; for l2p no residual
+    is formed, and on noiseless data at k = rank, where every column's
+    downdate cancels, the recompute runs a block of columns at a time.
+    The power step's product is m x k.  irls still forms
+    Z = X diag(sqrt d) for its scatter."""
+    data, _ = _instance(0, m=200, n=5000, k=5, noise=noise, frac=0.1 if noise else 0.0, scale=5.0)
     tracemalloc.start()
     try:
-        fit(data, 5, NormSpec.l1(), SolverConfig(variant=variant, max_iter=10))
+        fit(data, 5, norm, SolverConfig(variant=variant, max_iter=10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
