@@ -79,8 +79,10 @@ def evaluate(
     l1 = NormSpec.l1()
     _check_pair(data, basis)
     x, w = data.values, basis.values
-    l1_stats, t = _basis_stats(x, w, l1)
-    stats = ColumnStats(_downdated_sq(x, w, t), l1_stats.abs)
+    col_sq = np.einsum("ij,ij->j", x, x)
+    with np.errstate(invalid="ignore"):  # as in objectives._downdated_sq
+        l1_stats, t = _basis_stats(x, w, l1, col_sq=col_sq)
+        stats = ColumnStats(_downdated_sq(x, w, t, col_sq), l1_stats.abs)
     p_used = norm.p if norm.kind == "l2p" else 1.0
     angles = principal_angles(basis, reference) if reference is not None else None
     return EvalReport(

@@ -17,15 +17,16 @@ sums of |Y|, and only from those.  There is one formula per loss, shared
 by the objective, the weights, the solvers and ``metrics.evaluate``.
 For a basis W, ``_basis_stats`` takes T = W^T X in one product.
 
-For fro and l2p it forms no residual.  Since W is orthonormal,
-||x_i - W t_i||^2 = ||x_i||^2 - ||t_i||^2: it downdates ||x_i||^2, which
-a fit takes once, by the column sums of T^2.  A column whose downdate is
-not above DOWNDATE_RTOL ||x_i||^2 has cancelled (it lies in or near
-span(W), or is zero) and is recomputed from its own residual, as LAPACK's
-xLAQP2 does for the column norms of pivoted QR (Drmac & Bujanovic, ACM
-TOMS 2008).  With u = 2^-53 and W orthonormal to working precision,
-inner-product error bounds (Higham, Accuracy and Stability of Numerical
-Algorithms, 2002, ch. 3) put a downdated ||y_i||^2 within
+Its squared norms come from a downdate, except for l1 on data whose
+residual is one block (below), and for fro and l2p it forms no residual.
+Since W is orthonormal, ||x_i - W t_i||^2 = ||x_i||^2 - ||t_i||^2: it
+downdates ||x_i||^2, which a fit takes once, by the column sums of T^2.
+A column whose downdate is not above DOWNDATE_RTOL ||x_i||^2 has
+cancelled (it lies in or near span(W), or is zero) and is recomputed
+from its own residual, as LAPACK's xLAQP2 does for the column norms of
+pivoted QR (Drmac & Bujanovic, ACM TOMS 2008).  With u = 2^-53 and W
+orthonormal to working precision, inner-product error bounds (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, ch. 3) put a downdated ||y_i||^2 within
 (m (1 + 2 sqrt k) + k + 1) u ||x_i||^2 of the exact value, to first
 order, and a recomputed one within
 2 sqrt(k) (m + k) u ||x_i|| ||y_i|| + (m + 2) u ||y_i||^2.  The
@@ -37,11 +38,15 @@ at most 2e-12 at the threshold.
 For l1, which needs |Y|, it forms and reduces X_b - W T_b one block of
 columns at a time in a buffer of about ``_BLOCK_BYTES``, so the m x n
 residual is never held whole and each block is reduced while it is
-still in cache.  The block width is fixed by m and n alone, so the sums
-do not depend on the caller; the downdate's recompute runs in chunks of
-at most that width.  The reweighted scatter X diag(d) X^T is built as
-Z Z^T with Z = X diag(sqrt d), a symmetric rank-n update that is exactly
-symmetric.
+still in cache.  With several blocks it sums only |Y| there and takes
+the squared norms from the downdate, which saves a pass over every
+block.  With one block it sums the squares in the same pass: on such
+small data the downdate's fixed cost per call exceeds the pass it saves.
+The block width is fixed by m and n alone, so the sums, and which path
+gives the squares, do not depend on the caller; the downdate's
+recompute runs in chunks of at most that width.  The reweighted scatter
+X diag(d) X^T is built as Z Z^T with Z = X diag(sqrt d), a symmetric
+rank-n update that is exactly symmetric.
 """
 from __future__ import annotations
 
@@ -145,13 +150,10 @@ def _residual_buffer(m: int, n: int) -> np.ndarray:
     return np.empty((m, _block_width(m, n)))
 
 
-def _residual_sums(
-    x: np.ndarray, w: np.ndarray, t: np.ndarray, y: np.ndarray, norm: NormSpec
-) -> ColumnStats:
-    """``column_stats`` of X - W T, formed in ``y``."""
+def _residual(x: np.ndarray, w: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """X - W T, formed in ``y``."""
     np.matmul(w, t, out=y)
-    np.subtract(x, y, out=y)
-    return _column_sums(y, norm)
+    return np.subtract(x, y, out=y)
 
 
 def _downdated_sq(
@@ -193,14 +195,18 @@ def _basis_stats(
 ) -> tuple[ColumnStats, np.ndarray]:
     """``column_stats`` of X - W (W^T X), and T = W^T X.
 
-    For fro and l2p the squared column norms are downdated from
-    ``col_sq`` = ||x_i||^2 (``_downdated_sq``; taken here when not given),
-    and no residual is formed.  For l1, which needs |Y|, the residual is
-    formed and reduced one block of columns at a time in ``buf``, from
-    ``_residual_buffer``; one is allocated when none is given.  The blocks
-    split the n columns evenly, so none is much narrower than the buffer:
-    a one-column block would take BLAS's gemv path, whose rounding differs
-    from gemm's.
+    The squared column norms are downdated from ``col_sq`` = ||x_i||^2
+    (``_downdated_sq``; taken here when not given), except for l1 on data
+    whose residual is one block.  For fro and l2p no residual is formed.
+    For l1, which needs |Y|, the residual is formed and reduced one block
+    of columns at a time in ``buf``, from ``_residual_buffer``; one is
+    allocated when none is given.  When one block holds every column, its
+    squares are summed in the same pass: there the downdate's fixed cost
+    per call exceeds the pass it saves.  With several blocks only |Y| is
+    summed.  The block width, and so the choice, is a function of (m, n)
+    alone.  The blocks split the n columns evenly, so none is much
+    narrower than the buffer: a one-column block would take BLAS's gemv
+    path, whose rounding differs from gemm's.
     """
     t = w.T @ x
     if norm.kind != "l1":
@@ -208,16 +214,16 @@ def _basis_stats(
     if buf is None:
         buf = _residual_buffer(*x.shape)
     if buf.shape == x.shape:  # one block
-        return _residual_sums(x, w, t, buf, norm), t
+        return _column_sums(_residual(x, w, t, buf), norm), t
     m, n = x.shape
     blocks = -(-n // buf.shape[1])
     edges = [n * b // blocks for b in range(blocks + 1)]
     flat = buf.reshape(-1)
-    parts = [_residual_sums(x[:, i:j], w, t[:, i:j], flat[: m * (j - i)].reshape(m, j - i), norm)
-             for i, j in zip(edges, edges[1:])]
-    sq = np.concatenate([part.sq for part in parts])
-    ab = np.concatenate([part.abs for part in parts])
-    return ColumnStats(sq, ab), t
+    ab = np.empty(n)
+    for i, j in zip(edges, edges[1:]):
+        y = _residual(x[:, i:j], w, t[:, i:j], flat[: m * (j - i)].reshape(m, j - i))
+        np.abs(y, out=y).sum(axis=0, out=ab[i:j])
+    return ColumnStats(_downdated_sq(x, w, t, col_sq), ab), t
 
 
 def objective_from_stats(stats: ColumnStats, norm: NormSpec) -> float:
@@ -246,7 +252,10 @@ def _objective_from_residual(resid: np.ndarray, norm: NormSpec) -> float:
 def objective_value(data: DataMatrix, basis: Projection, norm: NormSpec) -> float:
     """True loss of reconstructing ``data`` through ``basis``.  Never clamped."""
     _check_pair(data, basis)
-    return objective_from_stats(_basis_stats(data.values, basis.values, norm)[0], norm)
+    x = data.values
+    with np.errstate(invalid="ignore"):  # as in _downdated_sq
+        stats = _basis_stats(x, basis.values, norm, col_sq=np.einsum("ij,ij->j", x, x))[0]
+    return objective_from_stats(stats, norm)
 
 
 def weighted_scatter(data: DataMatrix, weights: np.ndarray) -> np.ndarray:

@@ -5,10 +5,11 @@ closed-form minimizer, the vanilla start (``vanilla_pca`` returns it too),
 and runs no round.  For l1 and l2p it runs one reweighted
 majorize-minimize (MM) loop.  Each round reduces the residual
 X - W W^T X to ``objectives.column_stats`` with ``_basis_stats``, which
-takes T = W^T X once.  For l2p it downdates ||x_i||^2, taken once per
-fit, by the column sums of T^2, recomputing from the residual only the
-columns that cancel; for l1 it forms the residual a block of columns at
-a time in one buffer per fit.  The objective, the weight diagonal d and
+takes T = W^T X once.  It downdates ||x_i||^2, taken once per fit, by
+the column sums of T^2, recomputing from the residual only the columns
+that cancel; for l1 it also forms the residual a block of columns at a
+time in one buffer per fit, for |Y| (and for the squares too when one
+block holds every column).  The objective, the weight diagonal d and
 the span-floor test follow from those sums.  With M = X diag(d) X^T, the
 weighted quadratic built around the current basis is
 tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
@@ -25,7 +26,9 @@ tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
                 norms of X.
 * ``momentum``  the same step from V = W + (s-2)/(s+1) (W - W_old) in
                 round s, with V^T X taken afresh; no monotone guarantee.
-* ``irls``      the top-k eigenvectors of M; increases are counted.
+* ``irls``      the top-k eigenvectors of M, guarded: when they raise
+                sum_i d_i ||y_i||^2, pgd's step from W is taken instead,
+                and ``FitResult.guarded_steps`` counts it.
 
 pgd's step never lowers tr(W^T M W): f(W) = tr(W^T (M + sigma I) W) is
 convex, so f(W') >= f(W) + <grad f(W), W' - W>, and the polar factor W'
@@ -39,12 +42,23 @@ b = (s-2)/(s+1) in [0, 1) once W_old differs from W, has singular values
 in [1, 1 + 2b] (for unit u, ||V u|| is within b of (1 + b) ||W u||), so for
 its step the bound is POWER_SHIFT_RTOL / (3 (1 + POWER_SHIFT_RTOL)).
 
+irls's eigenvectors maximize tr(W^T M W) in exact arithmetic only.  When
+the weights span c^(p-2) (c the clamp), a few huge weights dominate M,
+``eigh`` resolves the other directions to about eps ||M|| alone, and the
+step can raise the weighted quadratic.  The guard compares
+sum_i d_i ||y_i||^2 at the candidate, from the ``_basis_stats`` call the
+next round needs anyway, with the same sum at W, and takes the power step
+only when the candidate raised it: a safeguarded MM step (Hunter & Lange,
+The American Statistician, 2004), which makes irls as monotone as pgd.
+Only that step takes W^T X again.  The comparison is on the residual
+side; tr(W^T M W) from T would cancel at such weights.
+
 The weights clamp residual column norms at CLAMP_RTOL times the data's RMS
 column norm ||X||_F / sqrt(n), so that a fit does not depend on the data's
 units.  The clamp is floored at sqrt(float_info.min), so that the l1
 clamp squared stays a normal double; below an RMS column norm of about
-1e-144 it stops scaling.  ||X||_F is taken once, where ``fit`` also
-rejects data whose squared norm overflows.
+1e-144 it stops scaling.  ||X||_F is taken once, from the column norms
+||x_i||^2, where ``fit`` also rejects data whose squared norm overflows.
 
 ``fit`` counts the closed eigengaps ``top_r_eigvecs`` flags for its
 vanilla start and irls steps, and touches no process-wide warnings state;
@@ -133,6 +147,7 @@ class FitResult:
     wall_time_ms: float
     monotone_violations: int
     spectrum_gap_events: int = 0
+    guarded_steps: int = 0
 
     def __post_init__(self) -> None:
         trace = np.array(self.objective_trace, dtype=float, copy=True)
@@ -181,18 +196,6 @@ def _check_fit_args(data: DataMatrix, k: int, norm: NormSpec, config: SolverConf
     return config
 
 
-def _frobenius_norm(x: np.ndarray) -> float:
-    """||X||_F, computed as np.linalg.norm does.  Raises ValueError when
-    ||X||_F^2 overflows: the span test and the scatter of such data are not
-    finite."""
-    flat = x.ravel()
-    with np.errstate(over="ignore"):
-        sq = float(flat.dot(flat))
-    if not math.isfinite(sq):
-        raise ValueError("data too large: its squared Frobenius norm overflows; rescale it")
-    return math.sqrt(sq)
-
-
 def _initial_basis(data: DataMatrix, k: int, config: SolverConfig) -> tuple[np.ndarray, bool]:
     if config.init == "vanilla":
         return top_r_eigvecs(data.values @ data.values.T, k)
@@ -224,8 +227,10 @@ def fit(
     quadratic of each round lies above the sum of h, the loss Huberized at
     the clamp (see ``objectives``), so pgd never raises that sum; the true
     loss can rise once a column falls below the clamp.  The l1 loss has no
-    such bound.  Rises of the true loss are counted in
-    ``monotone_violations``, and closed eigengaps in ``spectrum_gap_events``.
+    such bound.  irls's guard makes it monotone on the same sum.  Rises of
+    the true loss are counted in ``monotone_violations``, closed eigengaps
+    in ``spectrum_gap_events``, and irls rounds that took the power step
+    in ``guarded_steps``.
 
     ``callback(it, basis, objective)`` sees the start (it = 0) and every
     iterate after it.
@@ -233,14 +238,20 @@ def fit(
     config = _check_fit_args(data, k, norm, config)
     start = time.perf_counter()
     x = data.values
-    frobenius = _frobenius_norm(x)
+    # ||x_i||^2: ||X||_F, the residual norms' downdate and the power step's
+    # tr(M) = sum_i d_i ||x_i||^2 all come from it
+    col_sq = np.einsum("ij,ij->j", x, x)
+    with np.errstate(over="ignore"):
+        frobenius_sq = float(col_sq.sum())
+    if not math.isfinite(frobenius_sq):
+        # the span test and the scatter of such data are not finite
+        raise ValueError("data too large: its squared Frobenius norm overflows; rescale it")
+    frobenius = math.sqrt(frobenius_sq)
     floor, clamp = SPAN_RTOL * frobenius, weight_clamp(frobenius, data.n_samples)
     w, gap_closed = _initial_basis(data, k, config)
     w_old = w  # momentum's previous iterate: round 1 does not extrapolate
     gap_events = int(gap_closed)
-    # ||x_i||^2: the residual norms are downdated from it, and the power
-    # step's tr(M) = sum_i d_i ||x_i||^2
-    col_sq = np.einsum("ij,ij->j", x, x)
+    guarded_steps = 0
     buf = _residual_buffer(*x.shape) if norm.kind == "l1" else None
     stats, t = _basis_stats(x, w, norm, buf, col_sq)
     trace = [objective_from_stats(stats, norm)]
@@ -254,19 +265,25 @@ def fit(
             converged = True
             break
         d = _weights_for(norm, stats, clamp)
+        v = w  # the power step's point; t = W^T X from the stats pass
         if config.variant == "irls":
             t = None  # not needed; freed before the scatter's m x n Z
-            w, gap_closed = top_r_eigvecs(weighted_scatter(data, d), k)
+            w_eig, gap_closed = top_r_eigvecs(weighted_scatter(data, d), k)
             gap_events += gap_closed
-        else:
-            v = w  # t = W^T X from the stats pass
-            if config.variant == "momentum":
-                s = iterations + 1
-                v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
-                t = v.T @ x
+            stats_eig, t = _basis_stats(x, w_eig, norm, buf, col_sq)
+            if d @ stats_eig.sq > d @ stats.sq:  # the guard: power step from W
+                guarded_steps += 1
+                t = w.T @ x
+            else:
+                v, w, stats = None, w_eig, stats_eig
+        elif config.variant == "momentum":
+            s = iterations + 1
+            v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
+            t = v.T @ x
+        if v is not None:
             shift = POWER_SHIFT_RTOL * float(d @ col_sq)
             w, w_old = procrustes_project(x @ (t * d).T + shift * v), w
-        stats, t = _basis_stats(x, w, norm, buf, col_sq)
+            stats, t = _basis_stats(x, w, norm, buf, col_sq)
         trace.append(objective_from_stats(stats, norm))
         iterations += 1
         if callback is not None:
@@ -283,6 +300,7 @@ def fit(
         wall_time_ms=(time.perf_counter() - start) * 1000.0,
         monotone_violations=count_monotone_violations(trace),
         spectrum_gap_events=gap_events,
+        guarded_steps=guarded_steps,
     )
 
 

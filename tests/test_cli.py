@@ -98,7 +98,7 @@ def test_fit_writes_basis_and_trace(tmp_path):
     np.testing.assert_allclose(w.T @ w, np.eye(2), atol=1e-9)
     trace = json.loads((out / "trace.json").read_text())
     assert set(trace) == {"solver", "norm", "p", "objective", "iterations",
-                          "converged", "monotone_violations", "wall_time_ms"}
+                          "converged", "monotone_violations", "guarded_steps", "wall_time_ms"}
     assert trace["solver"] == "pgd"
     assert trace["norm"] == "l1"
     assert trace["p"] is None

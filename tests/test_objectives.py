@@ -8,6 +8,7 @@ from repca import DataMatrix, DimensionMismatch, InvalidSpec, NormSpec, Projecti
 from repca.objectives import (
     DOWNDATE_RTOL,
     _basis_stats,
+    _downdated_sq,
     column_stats,
     objective_from_stats,
     weighted_scatter,
@@ -210,35 +211,38 @@ def test_cancelled_columns_are_recomputed(monkeypatch):
 @pytest.mark.parametrize("m, n, k", ((10, 200, 2), (300, 40, 3), (50, 999, 4), (7, 13, 7)))
 def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
     """For l1, the residual reduced one block of columns at a time has the
-    column sums of the whole residual, for block budgets of 1, 3, 7, n - 1,
+    sums of |Y| of the whole residual, for block budgets of 1, 3, 7, n - 1,
     n and n + 1 columns; bit for bit when one block holds every column.
     Narrow blocks can round differently: a one-column product takes BLAS's
-    gemv path.  For l2p, whose squared norms are downdated (recomputed in
-    chunks of the same budgets when k = m), they are within the sum of the
-    downdate's and the whole residual's error bounds.  T is W^T X bit for
-    bit."""
+    gemv path.  The squared norms come from the same pass when one block
+    holds every column, bit for bit the whole residual's, and otherwise
+    from the downdate, bit for bit ``_downdated_sq``'s.  Downdated (and
+    recomputed in chunks of the same budgets when k = m), for l1 and l2p
+    alike, they are within the sum of the downdate's and the whole
+    residual's error bounds.  T is W^T X bit for bit."""
     rng = np.random.default_rng(m * n)
     x = rng.standard_normal((m, n))
     w, _ = np.linalg.qr(rng.standard_normal((m, k)))
     whole = column_stats(x - w @ (w.T @ x), L1)
     col_sq = (x * x).sum(axis=0)
-    tol = 1e-13 * col_sq
     tol_abs = 1e-13 * np.abs(x).sum(axis=0)
-    tol_l2p = _downdate_bound(m, k, col_sq) + _direct_bound(m, k, col_sq, whole.sq)
+    tol_sq = _downdate_bound(m, k, col_sq) + _direct_bound(m, k, col_sq, whole.sq)
     monkeypatch.setattr(repca.objectives, "_BLOCK_MIN_COLS", 1)
     for width in (1, 3, 7, n - 1, n, n + 1):
         monkeypatch.setattr(repca.objectives, "_BLOCK_BYTES", 8 * m * width)
         for norm in (L1, NormSpec.l2p(0.5)):
             stats, t = _basis_stats(x, w, norm)
             assert t.tobytes() == (w.T @ x).tobytes()
+            if norm.kind == "l1" and width >= n:
+                assert stats.sq.tobytes() == whole.sq.tobytes()
+            else:
+                assert stats.sq.tobytes() == _downdated_sq(x, w, t).tobytes()
+                assert np.all(np.abs(stats.sq - whole.sq) <= tol_sq)
             if norm.kind == "l1":
-                assert np.all(np.abs(stats.sq - whole.sq) <= tol)
                 assert np.all(np.abs(stats.abs - whole.abs) <= tol_abs)
                 if width >= n:
-                    assert stats.sq.tobytes() == whole.sq.tobytes()
                     assert stats.abs.tobytes() == whole.abs.tobytes()
             else:
-                assert np.all(np.abs(stats.sq - whole.sq) <= tol_l2p)
                 assert stats.abs is None
 
 

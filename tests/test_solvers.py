@@ -25,8 +25,8 @@ from repca import (
     vanilla_pca,
 )
 from repca.linalg import procrustes_project, top_r_eigvecs
-from repca.objectives import (DOWNDATE_RTOL, ColumnStats, column_stats, objective_from_stats, weighted_scatter,
-                              weights_from_stats)
+from repca.objectives import (DOWNDATE_RTOL, ColumnStats, _basis_stats, column_stats, objective_from_stats,
+                              weighted_scatter, weights_from_stats)
 from repca.solvers import (POWER_SHIFT_RTOL, SPAN_RTOL, VARIANTS, check_convergence,
                             count_monotone_violations, weight_clamp)
 
@@ -284,8 +284,8 @@ def test_fit_replays_from_the_building_blocks(variant, norm):
     data, _ = _instance(0, m=10, n=200, k=2, frac=0.1, scale=5.0)
     config = SolverConfig(variant=variant, max_iter=4, tol=0.0)
     x = data.values
-    clamp = weight_clamp(np.linalg.norm(x), data.n_samples)
     col_sq = np.einsum("ij,ij->j", x, x)
+    clamp = weight_clamp(np.sqrt(col_sq.sum()), data.n_samples)
     w = w_old = top_r_eigvecs(x @ x.T, 2)[0]
 
     def stats_at(w):
@@ -302,7 +302,9 @@ def test_fit_replays_from_the_building_blocks(variant, norm):
         d = weights_from_stats(stats, norm, clamp)
         scatter = weighted_scatter(data, d)
         if variant == "irls":
-            w = top_r_eigvecs(scatter, 2)[0]
+            w_eig = top_r_eigvecs(scatter, 2)[0]
+            assert d @ stats_at(w_eig).sq <= d @ stats.sq  # the guard keeps the eigen step
+            w = w_eig
         else:
             v = w
             if variant == "momentum":
@@ -318,6 +320,34 @@ def test_fit_replays_from_the_building_blocks(variant, norm):
     assert out.iterations == 4
     np.testing.assert_array_equal(out.projection.values, w)
     np.testing.assert_array_equal(out.objective_trace, trace)
+
+
+def test_irls_guard_replays_from_the_building_blocks():
+    """Each irls round keeps the eigen step unless it raises
+    sum_i d_i ||y_i||^2 at the round's weights d; then it takes pgd's
+    shifted power step from W instead.  Rebuilt from the building blocks,
+    the iterates equal ``fit``'s byte for byte, and ``guarded_steps``
+    counts the power steps.  From this random start at l2p(0.5) the
+    weights span about 6e15 by the last round, whose eigen step raises
+    that sum by about 6e-9 of it."""
+    data, _ = _instance(0, m=10, n=200, k=2, frac=0.1, scale=5.0)
+    norm = NormSpec.l2p(0.5)
+    seen = []
+    out = fit(data, 2, norm, SolverConfig(variant="irls", init="random", seed=3),
+              callback=lambda it, basis, obj: seen.append(basis.values))
+    x = data.values
+    col_sq = np.einsum("ij,ij->j", x, x)
+    clamp = weight_clamp(np.sqrt(col_sq.sum()), data.n_samples)
+    guarded = 0
+    for w, w_next in zip(seen, seen[1:]):
+        stats = _basis_stats(x, w, norm, col_sq=col_sq)[0]
+        d = weights_from_stats(stats, norm, clamp)
+        step = top_r_eigvecs(weighted_scatter(data, d), 2)[0]
+        if d @ _basis_stats(x, step, norm, col_sq=col_sq)[0].sq > d @ stats.sq:
+            guarded += 1
+            step = procrustes_project(x @ ((w.T @ x) * d).T + POWER_SHIFT_RTOL * float(d @ col_sq) * w)
+        np.testing.assert_array_equal(step, w_next)
+    assert guarded == out.guarded_steps >= 1
 
 
 def test_pgd_forms_no_scatter_and_no_spectrum(monkeypatch):
@@ -379,14 +409,20 @@ def test_fit_builds_projections_only_at_the_door(monkeypatch, init):
 def test_fit_rejects_data_whose_norm_overflows(init, variant):
     """||X||_F^2 past the float range is refused before any round, without
     a RuntimeWarning (the suite makes those errors); a random start used to
-    "converge" at once because the span test compared inf with inf."""
+    "converge" at once because the span test compared inf with inf.  It is
+    summed from the squared column norms, so both an overflowed column and
+    finite columns whose sum overflows are refused."""
     rng = np.random.default_rng(22)
     base = rng.standard_normal((4, 30))
     base -= base.mean(axis=1, keepdims=True)
+    col_sq = np.einsum("ij,ij->j", base, base)
+    near_max = base * np.sqrt(1e308 / col_sq.max())  # each ||x_i||^2 <= 1e308, their sum past 1.8e308
+    assert col_sq.sum() / col_sq.max() > 2.0
     config = SolverConfig(variant=variant, init=init, max_iter=5)
     for norm in (NormSpec.l1(), NormSpec.l2p(1.0)):
-        with pytest.raises(ValueError, match="overflows"):
-            fit(DataMatrix(base * 1e160, centered=True), 2, norm, config)
+        for huge in (base * 1e160, near_max):
+            with pytest.raises(ValueError, match="overflows"):
+                fit(DataMatrix(huge, centered=True), 2, norm, config)
         out = fit(DataMatrix(base * 1e150, centered=True), 2, norm, config)
         assert np.isfinite(out.objective_trace).all()
 
@@ -659,18 +695,18 @@ def test_round_memory_stays_below_the_data(variant, norm, noise, limit):
     assert peak < limit * data.values.nbytes
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="irls on m >> n data runs to max_iter: its reweighted scatter's spectrum "
-    "closes at the cut on most rounds, and the objective rises on about half of them",
-)
 def test_irls_converges_on_wide_data():
-    """pgd converges in a few rounds; irls with l2p(0.5) should too (known not to)."""
+    """pgd converges in a few rounds, and so does irls with l2p(0.5).
+    Without the guard, irls ran all 500 rounds here: its reweighted
+    scatter's spectrum closes at the cut on most rounds, and its eigen step
+    raised the objective on about half of them.  pgd takes no eigen step,
+    so it counts no guarded one."""
     data, _ = _instance(0, m=600, n=120, k=3, frac=0.1, scale=5.0)
     norm = NormSpec.l2p(0.5)
-    assert fit(data, 3, norm, SolverConfig(variant="pgd")).converged
+    pgd = fit(data, 3, norm, SolverConfig(variant="pgd"))
+    assert pgd.converged and pgd.guarded_steps == 0
     out = fit(data, 3, norm, SolverConfig(variant="irls", max_iter=100))
-    assert out.converged
+    assert out.converged and out.guarded_steps >= 1 and out.monotone_violations == 0
 
 
 def test_robust_fit_recovers_subspace_under_outliers():
