@@ -221,6 +221,7 @@ def _trace_record(solver: str, norm: NormSpec, result: FitResult) -> dict:
         "iterations": int(result.iterations),
         "converged": bool(result.converged),
         "monotone_violations": int(result.monotone_violations),
+        "spectrum_gap_events": int(result.spectrum_gap_events),
         "guarded_steps": int(result.guarded_steps),
         "wall_time_ms": float(result.wall_time_ms),
     }

@@ -7,14 +7,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import DataMatrix, Projection
-from .objectives import (
-    ColumnStats,
-    NormSpec,
-    _basis_stats,
-    _check_pair,
-    _downdated_sq,
-    objective_from_stats,
-)
+from .objectives import NormSpec, objective_value
 
 
 def principal_angles(basis_a: Projection, basis_b: Projection) -> np.ndarray:
@@ -71,24 +64,14 @@ def evaluate(
 
     All three reconstruction errors are always reported; ``norm`` only
     chooses the exponent of the l2,p field (losses without a p fall back
-    to p = 1).  Each error equals ``objective_value`` under its loss, bit
-    for bit, since both come from the same column sums: |Y| from the l1
-    pass over the residual, the squared norms from the downdate.
-    Angles are present exactly when ``reference`` is given.
+    to p = 1).  Each error is ``objective_value`` under its loss.  Angles
+    are present exactly when ``reference`` is given.
     """
-    l1 = NormSpec.l1()
-    _check_pair(data, basis)
-    x, w = data.values, basis.values
-    col_sq = np.einsum("ij,ij->j", x, x)
-    with np.errstate(invalid="ignore"):  # as in objectives._downdated_sq
-        l1_stats, t = _basis_stats(x, w, l1, col_sq=col_sq)
-        stats = ColumnStats(_downdated_sq(x, w, t, col_sq), l1_stats.abs)
     p_used = norm.p if norm.kind == "l2p" else 1.0
-    angles = principal_angles(basis, reference) if reference is not None else None
     return EvalReport(
-        error_fro2=objective_from_stats(stats, NormSpec.fro()),
-        error_l1=objective_from_stats(stats, l1),
-        error_l2p=objective_from_stats(stats, NormSpec.l2p(p_used)),
+        error_fro2=objective_value(data, basis, NormSpec.fro()),
+        error_l1=objective_value(data, basis, NormSpec.l1()),
+        error_l2p=objective_value(data, basis, NormSpec.l2p(p_used)),
         l2p_exponent=float(p_used),
-        angles_rad=angles,
+        angles_rad=principal_angles(basis, reference) if reference is not None else None,
     )

@@ -14,13 +14,15 @@ loss Huberized at c: h(t) = t^p for t >= c, (p/2) c^(p-2) t^2 +
 Every loss and every weight diagonal is computed from the residual's
 per-column sums, ``column_stats``: the sums of squares and, for l1, the
 sums of |Y|, and only from those.  There is one formula per loss, shared
-by the objective, the weights, the solvers and ``metrics.evaluate``.
-For a basis W, ``_basis_stats`` takes T = W^T X in one product.
+by the objective, the weights and the solvers; ``metrics.evaluate``
+scores through ``objective_value``.  For a basis W, ``_basis_stats``
+takes T = W^T X in one product, and it alone forms those sums.
 
 Its squared norms come from a downdate, except for l1 on data whose
 residual is one block (below), and for fro and l2p it forms no residual.
 Since W is orthonormal, ||x_i - W t_i||^2 = ||x_i||^2 - ||t_i||^2: it
-downdates ||x_i||^2, which a fit takes once, by the column sums of T^2.
+downdates ||x_i||^2, which a fit takes once (``objective_value`` leaves
+it to the downdate), by the column sums of T^2.
 A column whose downdate is not above DOWNDATE_RTOL ||x_i||^2 has
 cancelled (it lies in or near span(W), or is zero) and is recomputed
 from its own residual, as LAPACK's xLAQP2 does for the column norms of
@@ -36,17 +38,19 @@ rational arithmetic at m = 10 and 200, it was 6-17 u ||x_i||^2 / ||y_i||^2,
 at most 2e-12 at the threshold.
 
 For l1, which needs |Y|, it forms and reduces X_b - W T_b one block of
-columns at a time in a buffer of about ``_BLOCK_BYTES``, so the m x n
-residual is never held whole and each block is reduced while it is
-still in cache.  With several blocks it sums only |Y| there and takes
-the squared norms from the downdate, which saves a pass over every
-block.  With one block it sums the squares in the same pass: on such
-small data the downdate's fixed cost per call exceeds the pass it saves.
-The block width is fixed by m and n alone, so the sums, and which path
-gives the squares, do not depend on the caller; the downdate's
-recompute runs in chunks of at most that width.  The reweighted scatter
-X diag(d) X^T is built as Z Z^T with Z = X diag(sqrt d), a symmetric
-rank-n update that is exactly symmetric.
+columns at a time in a buffer of about ``_BLOCK_BYTES`` that each call
+allocates, so the m x n residual is never held whole, each block is
+reduced while it is still in cache, and no buffer outlives the call.
+With several blocks it sums only |Y| there and takes the squared norms
+from the downdate first, which saves a pass over every block and keeps
+the downdate's recompute from running beside the buffer.  With one
+block it sums the squares in the same pass: on such small data the
+downdate's fixed cost per call exceeds the pass it saves.  The block
+width is fixed by m and n alone, so the sums, and which path gives the
+squares, do not depend on the caller; the downdate's recompute runs in
+chunks of at most that width.  The reweighted scatter X diag(d) X^T is
+built as Z Z^T with Z = X diag(sqrt d), a symmetric rank-n update that
+is exactly symmetric.
 """
 from __future__ import annotations
 
@@ -143,13 +147,6 @@ def _block_width(m: int, n: int) -> int:
     return min(n, max(_BLOCK_MIN_COLS, _BLOCK_BYTES // (8 * m)))
 
 
-def _residual_buffer(m: int, n: int) -> np.ndarray:
-    """Scratch for ``_basis_stats`` on m x n data under the l1 loss: one
-    block of residual columns.  A fit allocates one and passes it to every
-    round."""
-    return np.empty((m, _block_width(m, n)))
-
-
 def _residual(x: np.ndarray, w: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """X - W T, formed in ``y``."""
     np.matmul(w, t, out=y)
@@ -160,21 +157,20 @@ def _downdated_sq(
     x: np.ndarray, w: np.ndarray, t: np.ndarray, col_sq: np.ndarray | None = None
 ) -> np.ndarray:
     """Squared column norms of X - W T for T = W^T X, as ``col_sq`` minus
-    the column sums of T^2, ``col_sq`` being ||x_i||^2.
+    the column sums of T^2, ``col_sq`` being ||x_i||^2 (taken here when
+    not given, as ``objective_value`` leaves it).
 
     A column whose difference is not above DOWNDATE_RTOL ||x_i||^2
     (negative, zero and NaN ones included) is recomputed from its own
     residual, in chunks of at most one residual block.
     """
     if col_sq is None:
-        col_sq = np.einsum("ij,ij->j", x, x)
         # fit passes a finite col_sq, having rejected data whose squared norm
         # overflows; here an overflowed column gives inf - inf, a NaN the
-        # recompute below replaces.
+        # recompute replaces.
         with np.errstate(invalid="ignore"):
-            sq = col_sq - np.einsum("ij,ij->j", t, t)
-    else:
-        sq = col_sq - np.einsum("ij,ij->j", t, t)
+            return _downdated_sq(x, w, t, np.einsum("ij,ij->j", x, x))
+    sq = col_sq - np.einsum("ij,ij->j", t, t)
     redo = (~(sq > DOWNDATE_RTOL * col_sq)).nonzero()[0]
     if redo.size:
         width = _block_width(*x.shape)
@@ -187,43 +183,39 @@ def _downdated_sq(
 
 
 def _basis_stats(
-    x: np.ndarray,
-    w: np.ndarray,
-    norm: NormSpec,
-    buf: np.ndarray | None = None,
-    col_sq: np.ndarray | None = None,
+    x: np.ndarray, w: np.ndarray, norm: NormSpec, col_sq: np.ndarray | None = None
 ) -> tuple[ColumnStats, np.ndarray]:
     """``column_stats`` of X - W (W^T X), and T = W^T X.
 
     The squared column norms are downdated from ``col_sq`` = ||x_i||^2
-    (``_downdated_sq``; taken here when not given), except for l1 on data
+    (``_downdated_sq``; taken there when not given), except for l1 on data
     whose residual is one block.  For fro and l2p no residual is formed.
     For l1, which needs |Y|, the residual is formed and reduced one block
-    of columns at a time in ``buf``, from ``_residual_buffer``; one is
-    allocated when none is given.  When one block holds every column, its
-    squares are summed in the same pass: there the downdate's fixed cost
-    per call exceeds the pass it saves.  With several blocks only |Y| is
-    summed.  The block width, and so the choice, is a function of (m, n)
-    alone.  The blocks split the n columns evenly, so none is much
-    narrower than the buffer: a one-column block would take BLAS's gemv
-    path, whose rounding differs from gemm's.
+    of columns at a time in a buffer allocated here, after the downdate, so
+    that the downdate's recompute never runs beside it.  When one block
+    holds every column, its squares are summed in the same pass: there the
+    downdate's fixed cost per call exceeds the pass it saves.  With several
+    blocks only |Y| is summed.  The block width, and so the choice, is a
+    function of (m, n) alone.  The blocks split the n columns evenly, so
+    none is much narrower than the buffer: a one-column block would take
+    BLAS's gemv path, whose rounding differs from gemm's.
     """
     t = w.T @ x
     if norm.kind != "l1":
         return ColumnStats(_downdated_sq(x, w, t, col_sq), None), t
-    if buf is None:
-        buf = _residual_buffer(*x.shape)
-    if buf.shape == x.shape:  # one block
-        return _column_sums(_residual(x, w, t, buf), norm), t
     m, n = x.shape
-    blocks = -(-n // buf.shape[1])
+    width = _block_width(m, n)
+    if width == n:  # one block
+        return _column_sums(_residual(x, w, t, np.empty((m, n))), norm), t
+    sq = _downdated_sq(x, w, t, col_sq)
+    blocks = -(-n // width)
     edges = [n * b // blocks for b in range(blocks + 1)]
-    flat = buf.reshape(-1)
+    flat = np.empty(m * width)
     ab = np.empty(n)
     for i, j in zip(edges, edges[1:]):
         y = _residual(x[:, i:j], w, t[:, i:j], flat[: m * (j - i)].reshape(m, j - i))
         np.abs(y, out=y).sum(axis=0, out=ab[i:j])
-    return ColumnStats(_downdated_sq(x, w, t, col_sq), ab), t
+    return ColumnStats(sq, ab), t
 
 
 def objective_from_stats(stats: ColumnStats, norm: NormSpec) -> float:
@@ -252,10 +244,7 @@ def _objective_from_residual(resid: np.ndarray, norm: NormSpec) -> float:
 def objective_value(data: DataMatrix, basis: Projection, norm: NormSpec) -> float:
     """True loss of reconstructing ``data`` through ``basis``.  Never clamped."""
     _check_pair(data, basis)
-    x = data.values
-    with np.errstate(invalid="ignore"):  # as in _downdated_sq
-        stats = _basis_stats(x, basis.values, norm, col_sq=np.einsum("ij,ij->j", x, x))[0]
-    return objective_from_stats(stats, norm)
+    return objective_from_stats(_basis_stats(data.values, basis.values, norm)[0], norm)
 
 
 def weighted_scatter(data: DataMatrix, weights: np.ndarray) -> np.ndarray:

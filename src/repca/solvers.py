@@ -8,7 +8,7 @@ X - W W^T X to ``objectives.column_stats`` with ``_basis_stats``, which
 takes T = W^T X once.  It downdates ||x_i||^2, taken once per fit, by
 the column sums of T^2, recomputing from the residual only the columns
 that cancel; for l1 it also forms the residual a block of columns at a
-time in one buffer per fit, for |Y| (and for the squares too when one
+time, in a buffer of its own, for |Y| (and for the squares too when one
 block holds every column).  The objective, the weight diagonal d and
 the span-floor test follow from those sums.  With M = X diag(d) X^T, the
 weighted quadratic built around the current basis is
@@ -88,7 +88,6 @@ from .objectives import (
     NormSpec,
     _basis_stats,
     _objective_from_residual,  # noqa: F401  (benchmarks/tracing.py wraps this name)
-    _residual_buffer,
     objective_from_stats,
     weighted_scatter,
     weights_from_stats,
@@ -252,8 +251,7 @@ def fit(
     w_old = w  # momentum's previous iterate: round 1 does not extrapolate
     gap_events = int(gap_closed)
     guarded_steps = 0
-    buf = _residual_buffer(*x.shape) if norm.kind == "l1" else None
-    stats, t = _basis_stats(x, w, norm, buf, col_sq)
+    stats, t = _basis_stats(x, w, norm, col_sq)
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
         basis = Projection(w)
@@ -270,7 +268,7 @@ def fit(
             t = None  # not needed; freed before the scatter's m x n Z
             w_eig, gap_closed = top_r_eigvecs(weighted_scatter(data, d), k)
             gap_events += gap_closed
-            stats_eig, t = _basis_stats(x, w_eig, norm, buf, col_sq)
+            stats_eig, t = _basis_stats(x, w_eig, norm, col_sq)
             if d @ stats_eig.sq > d @ stats.sq:  # the guard: power step from W
                 guarded_steps += 1
                 t = w.T @ x
@@ -283,7 +281,7 @@ def fit(
         if v is not None:
             shift = POWER_SHIFT_RTOL * float(d @ col_sq)
             w, w_old = procrustes_project(x @ (t * d).T + shift * v), w
-            stats, t = _basis_stats(x, w, norm, buf, col_sq)
+            stats, t = _basis_stats(x, w, norm, col_sq)
         trace.append(objective_from_stats(stats, norm))
         iterations += 1
         if callback is not None:

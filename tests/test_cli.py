@@ -98,7 +98,8 @@ def test_fit_writes_basis_and_trace(tmp_path):
     np.testing.assert_allclose(w.T @ w, np.eye(2), atol=1e-9)
     trace = json.loads((out / "trace.json").read_text())
     assert set(trace) == {"solver", "norm", "p", "objective", "iterations",
-                          "converged", "monotone_violations", "guarded_steps", "wall_time_ms"}
+                          "converged", "monotone_violations", "spectrum_gap_events", "guarded_steps",
+                          "wall_time_ms"}
     assert trace["solver"] == "pgd"
     assert trace["norm"] == "l1"
     assert trace["p"] is None
@@ -132,17 +133,23 @@ def test_fit_l2p_records_exponent(tmp_path):
                          ids=("constant", "single_sample"))
 def test_fit_degenerate_csv_keeps_stderr_empty(tmp_path, capsys, rows):
     """Centered, both files are all zeros, so the vanilla start has no
-    eigengap; the fit counts that instead of printing a warning.  So do
-    the closed-form fro fit and bench's vanilla baseline."""
+    eigengap; the fit counts that instead of printing a warning, and
+    ``trace.json`` records the count.  So do the closed-form fro fit and
+    every bench fit, in ``traces.json``."""
     path = tmp_path / "data.csv"
     path.write_text(rows)
     capsys.readouterr()
     for command, *flags in (("fit",), ("fit", "--norm", "fro"), ("bench",)):
+        out = tmp_path / "_".join((command, *flags))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([command, "--input", str(path), "--k", "1", *flags,
-                         "--out", str(tmp_path / "_".join((command, *flags)))]) == 0
+            assert main([command, "--input", str(path), "--k", "1", *flags, "--out", str(out)]) == 0
         assert capsys.readouterr().err == "", (command, *flags)
+        if command == "fit":
+            records = [json.loads((out / "trace.json").read_text())]
+        else:
+            records = json.loads((out / "traces.json").read_text())
+        assert {r["spectrum_gap_events"] for r in records} == {1}, (command, *flags)
 
 
 def test_vanilla_baseline_counts_the_closed_gap():

@@ -673,18 +673,20 @@ def test_concurrent_fits_count_gaps_exactly():
 @pytest.mark.parametrize("variant, norm, noise, limit", (
     pytest.param("pgd", NormSpec.l1(), 0.1, 0.5, id="pgd-0.5"),
     pytest.param("momentum", NormSpec.l1(), 0.1, 0.5, id="momentum-0.5"),
-    pytest.param("irls", NormSpec.l1(), 0.1, 1.25, id="irls-1.25"),
+    pytest.param("irls", NormSpec.l1(), 0.1, 1.15, id="irls-1.15"),
     pytest.param("pgd", NormSpec.l2p(0.5), 0.1, 0.1, id="pgd-l2p-0.1"),
     pytest.param("momentum", NormSpec.l2p(0.5), 0.1, 0.1, id="momentum-l2p-0.1"),
     pytest.param("pgd", NormSpec.l2p(0.5), 0.0, 0.5, id="pgd-l2p-every-column-recomputed-0.5"),
+    pytest.param("pgd", NormSpec.l1(), 0.0, 0.4, id="pgd-l1-every-column-recomputed-0.4"),
 ))
 def test_round_memory_stays_below_the_data(variant, norm, noise, limit):
     """A round forms no m x n array.  For l1 the residual is reduced a
-    block of columns at a time in one buffer per fit; for l2p no residual
-    is formed, and on noiseless data at k = rank, where every column's
-    downdate cancels, the recompute runs a block of columns at a time.
-    The power step's product is m x k.  irls still forms
-    Z = X diag(sqrt d) for its scatter."""
+    block of columns at a time in a buffer each stats call allocates, so
+    none is alive during irls's scatter, which still forms
+    Z = X diag(sqrt d).  For l2p no residual is formed.  On noiseless data
+    at k = rank every column's downdate cancels, and the recompute runs a
+    block of columns at a time; for l1 it runs before the residual buffer
+    is allocated, never beside it.  The power step's product is m x k."""
     data, _ = _instance(0, m=200, n=5000, k=5, noise=noise, frac=0.1 if noise else 0.0, scale=5.0)
     tracemalloc.start()
     try:
@@ -707,6 +709,21 @@ def test_irls_converges_on_wide_data():
     assert pgd.converged and pgd.guarded_steps == 0
     out = fit(data, 3, norm, SolverConfig(variant="irls", max_iter=100))
     assert out.converged and out.guarded_steps >= 1 and out.monotone_violations == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="pgd crawls on m >> n data: one power step per reweighting moves W too little, "
+    "so the relative change stays just above tol for hundreds of rounds",
+)
+def test_pgd_converges_on_wide_data():
+    """On this 600x120 problem irls converges in 16 (l1) and 17 (l2p(1))
+    rounds from the vanilla start.  pgd runs all 500 rounds unconverged,
+    with no rise: at 20000 rounds l2p(1) stops after 1834 and l1 has not
+    stopped."""
+    data, _ = _instance(1, m=600, n=120, k=3, frac=0.1, scale=5.0)
+    for norm in (NormSpec.l1(), NormSpec.l2p(1.0)):
+        assert fit(data, 3, norm, SolverConfig(variant="pgd", max_iter=100)).converged, norm
 
 
 def test_robust_fit_recovers_subspace_under_outliers():

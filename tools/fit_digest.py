@@ -17,7 +17,7 @@ eigengaps: the fro fit of a 2x4 matrix with X X^T = 2 I at k = 1, and
 one l1 fit per variant of the symmetric four-point 2x4 matrix, whose
 first reweighted scatter is isotropic.  For each fit the digest covers
 the basis, the objective trace, ``iterations``, ``converged``,
-``monotone_violations`` and ``spectrum_gap_events``.
+``monotone_violations``, ``spectrum_gap_events`` and ``guarded_steps``.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ def _update(h, result) -> None:
     h.update(result.projection.values.tobytes())
     h.update(result.objective_trace.tobytes())
     h.update(repr((result.iterations, result.converged, result.monotone_violations,
-                   result.spectrum_gap_events)).encode())
+                   result.spectrum_gap_events, result.guarded_steps)).encode())
 
 
 def main() -> int:
