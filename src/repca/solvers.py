@@ -24,8 +24,11 @@ tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
                 The shift is sigma = POWER_SHIFT_RTOL tr(M), where
                 tr(M) = sum_i d_i ||x_i||^2 comes from the same column
                 norms of X.
-* ``momentum``  the same step from V = W + (s-2)/(s+1) (W - W_old) in
-                round s, with V^T X taken afresh; no monotone guarantee.
+* ``momentum``  the same step from V = W + b (W - W_old), b = (s-2)/(s+1)
+                in round s; no monotone guarantee.  V^T X is linear in V,
+                so it is taken as T + b (T - T_old) from the T of this
+                round's stats pass and of the last round's, with no
+                product with X.
 * ``irls``      the top-k eigenvectors of M, guarded: when they raise
                 sum_i d_i ||y_i||^2, pgd's step from W is taken instead,
                 and ``FitResult.guarded_steps`` counts it.
@@ -248,7 +251,8 @@ def fit(
     frobenius = math.sqrt(frobenius_sq)
     floor, clamp = SPAN_RTOL * frobenius, weight_clamp(frobenius, data.n_samples)
     w, gap_closed = _initial_basis(data, k, config)
-    w_old = w  # momentum's previous iterate: round 1 does not extrapolate
+    # momentum's previous iterate and its W^T X: round 1 does not extrapolate
+    w_old, t_old = w, None
     gap_events = int(gap_closed)
     guarded_steps = 0
     stats, t = _basis_stats(x, w, norm, col_sq)
@@ -276,11 +280,21 @@ def fit(
                 v, w, stats = None, w_eig, stats_eig
         elif config.variant == "momentum":
             s = iterations + 1
-            v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
-            t = v.T @ x
+            b = (s - 2.0) / (s + 1.0)
+            v = w + b * (w - w_old)
+            if t_old is None:  # round 1: W_old = W, so V^T X = T
+                t, t_old = t.copy(), t
+            else:  # V^T X = T + b (T - T_old), formed in T_old's buffer
+                np.subtract(t, t_old, out=t_old)
+                t_old *= b
+                t_old += t
+                t, t_old = t_old, t
         if v is not None:
             shift = POWER_SHIFT_RTOL * float(d @ col_sq)
-            w, w_old = procrustes_project(x @ (t * d).T + shift * v), w
+            # M V = X (d * V^T X)^T, scaled in t's own buffer: t is dropped
+            # before the stats pass, and only momentum's T_old outlives the step
+            t *= d
+            w, w_old, t = procrustes_project(x @ t.T + shift * v), w, None
             stats, t = _basis_stats(x, w, norm, col_sq)
         trace.append(objective_from_stats(stats, norm))
         iterations += 1

@@ -276,11 +276,12 @@ def test_fit_replays_from_the_building_blocks(variant, norm):
     for byte.  The l1 sums come from the formed residual, the l2p squared
     norms from the downdate ||x_i||^2 - ||W^T x_i||^2.  pgd's round is the
     shifted power step on the factored product,
-    polar(X (d * X^T V) + sigma V) with sigma = POWER_SHIFT_RTOL tr(M), at
-    V = W; momentum's is the same step at its extrapolated V.
-    Round 3 is the first whose momentum coefficient, 1/4, is nonzero; in
-    round 1 the extrapolation vanishes (W_old = W_0), so that round is
-    pgd's."""
+    polar(X (d * V^T X) + sigma V) with sigma = POWER_SHIFT_RTOL tr(M), at
+    V = W; momentum's is the same step at its extrapolated
+    V = W + b (W - W_old), with V^T X taken as T + b (T - T_old) from
+    T = W^T X and T_old = W_old^T X.  Round 3 is the first whose momentum
+    coefficient b = 1/4 is nonzero; in round 1 the extrapolation vanishes
+    (W_old = W_0), so that round is pgd's."""
     data, _ = _instance(0, m=10, n=200, k=2, frac=0.1, scale=5.0)
     config = SolverConfig(variant=variant, max_iter=4, tol=0.0)
     x = data.values
@@ -306,20 +307,60 @@ def test_fit_replays_from_the_building_blocks(variant, norm):
             assert d @ stats_at(w_eig).sq <= d @ stats.sq  # the guard keeps the eigen step
             w = w_eig
         else:
-            v = w
+            v, t_v = w, w.T @ x
             if variant == "momentum":
-                v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
+                b = (s - 2.0) / (s + 1.0)
+                v = w + b * (w - w_old)
+                t_v = t_v + b * (t_v - w_old.T @ x)
                 if s == 1:
                     np.testing.assert_array_equal(v, w)
+                    np.testing.assert_array_equal(t_v, w.T @ x)
             shift = POWER_SHIFT_RTOL * float(d @ col_sq)
             np.testing.assert_allclose(shift, POWER_SHIFT_RTOL * np.trace(scatter), rtol=1e-12)
-            w, w_old = procrustes_project(x @ ((v.T @ x) * d).T + shift * v), w
+            w, w_old = procrustes_project(x @ (t_v * d).T + shift * v), w
         stats = stats_at(w)
         trace.append(objective_from_stats(stats, norm))
     out = fit(data, 2, norm, config)
     assert out.iterations == 4
     np.testing.assert_array_equal(out.projection.values, w)
     np.testing.assert_array_equal(out.objective_trace, trace)
+
+
+def _momentum_with_fresh_product(data, k, norm):
+    """momentum's loop from the vanilla start, rebuilt from the building
+    blocks with V^T X taken afresh each round; returns W and the rounds."""
+    x = data.values
+    col_sq = np.einsum("ij,ij->j", x, x)
+    clamp = weight_clamp(np.sqrt(col_sq.sum()), data.n_samples)
+    w = w_old = top_r_eigvecs(x @ x.T, k)[0]
+    stats = _basis_stats(x, w, norm, col_sq=col_sq)[0]
+    trace = [objective_from_stats(stats, norm)]
+    while len(trace) <= SolverConfig().max_iter and not check_convergence(trace, SolverConfig().tol):
+        s = len(trace)
+        d = weights_from_stats(stats, norm, clamp)
+        v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
+        shift = POWER_SHIFT_RTOL * float(d @ col_sq)
+        w, w_old = procrustes_project(x @ ((v.T @ x) * d).T + shift * v), w
+        stats = _basis_stats(x, w, norm, col_sq=col_sq)[0]
+        trace.append(objective_from_stats(stats, norm))
+    return w, len(trace) - 1
+
+
+@pytest.mark.parametrize("m, n, k, seeds, norms", (
+    pytest.param(10, 200, 2, range(8), (NormSpec.l1(), NormSpec.l2p(1.0)), id="small_grid"),
+    pytest.param(50, 6000, 3, (1,), (NormSpec.l1(),), id="multi-block-l1"),
+))
+def test_momentum_product_from_the_stats_passes_moves_by_rounding(m, n, k, seeds, norms):
+    """momentum's V^T X, combined from the T of two stats passes, differs
+    from the product taken afresh by rounding alone: each fit keeps its
+    rounds and its basis within 1e-9 rad.  50x6000 forms its l1 residual
+    in several column blocks."""
+    for seed, norm in itertools.product(seeds, norms):
+        data, _ = _instance(seed, m=m, n=n, k=k, frac=0.1, scale=5.0)
+        w, rounds = _momentum_with_fresh_product(data, k, norm)
+        out = fit(data, k, norm, SolverConfig(variant="momentum"))
+        assert out.converged and out.iterations == rounds, (seed, norm)
+        assert principal_angles(out.projection, Projection(w))[-1] <= 1e-9, (seed, norm)
 
 
 def test_irls_guard_replays_from_the_building_blocks():

@@ -31,13 +31,17 @@ fit_and_rerun fit --input toy/data.csv --k 2
 repca synth --m 300 --n 40 --k-true 3 --noise 0.05 --outlier-frac 0.1 --seed 2 --out wide
 fit_and_rerun wide-fit --input wide/data.csv --k 3 --solver pgd
 fit_and_rerun wide-momentum --input wide/data.csv --k 3 --solver momentum
-# pgd and irls on data whose residual spans several column blocks (n = 6000 samples).
+# pgd, irls and momentum on data whose residual spans several column blocks (n = 6000 samples).
 repca synth --m 50 --n 6000 --k-true 3 --noise 0.05 --outlier-frac 0.1 --seed 3 --out long
 fit_and_rerun long-pgd --input long/data.csv --k 3 --solver pgd
 fit_and_rerun long-irls --input long/data.csv --k 3 --solver irls
+fit_and_rerun long-momentum --input long/data.csv --k 3 --solver momentum
 # l2p, whose residual norms are downdated, on the multi-block long data (pgd) and the wide data (irls).
 fit_and_rerun long-l2p --input long/data.csv --k 3 --norm l2p --p 0.5 --solver pgd
 fit_and_rerun wide-l2p --input wide/data.csv --k 3 --norm l2p --p 0.5 --solver irls
-# irls's guarded step lets that fit converge instead of running all 500 rounds.
-python -c "import json, sys; sys.exit(0 if json.load(open('wide-l2p/trace.json'))['converged'] else 'wide-l2p did not converge')"
+# Both must converge: irls's guarded step keeps wide-l2p from running all
+# 500 rounds, and long-momentum is the one momentum fit on multi-block data.
+for name in wide-l2p long-momentum; do
+  python -c "import json, sys; sys.exit(0 if json.load(open('$name/trace.json'))['converged'] else '$name did not converge')"
+done
 echo "console script end to end: ok ($work)"
