@@ -172,6 +172,16 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
+def _blas_build() -> str | None:
+    """The BLAS numpy was built against, as "<name> <version>"; None where
+    numpy does not report it (before 1.25, ``show_config`` has no ``mode``)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        return None
+
+
 def _write_manifest(out_dir: Path, command: str, job, inputs: dict, outputs: list[str]) -> None:
     _write_json(
         out_dir / "manifest.json",
@@ -184,6 +194,7 @@ def _write_manifest(out_dir: Path, command: str, job, inputs: dict, outputs: lis
             "outputs": sorted([*outputs, "manifest.json"]),
             "seed": (job.spec if isinstance(job, SynthJob) else job.solver).seed,
             "numpy": np.__version__,
+            "blas": _blas_build(),
             **{name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
         },
     )
@@ -239,10 +250,11 @@ def _report_record(run: dict) -> dict:
 
 
 def _synth_spec(ns: argparse.Namespace) -> SynthSpec:
-    return SynthSpec(
-        m=ns.m, n=ns.n, k_true=ns.k_true, noise_sigma=ns.noise,
-        outlier_frac=ns.outlier_frac, outlier_scale=ns.outlier_scale, seed=ns.seed,
-    )
+    """The spec the flags give, with the dataclass defaults for those left out."""
+    optional = {"noise_sigma": ns.noise, "outlier_frac": ns.outlier_frac,
+                "outlier_scale": ns.outlier_scale}
+    return SynthSpec(m=ns.m, n=ns.n, k_true=ns.k_true, seed=ns.seed,
+                     **{name: value for name, value in optional.items() if value is not None})
 
 
 def _solver_config(ns: argparse.Namespace, variant: str) -> SolverConfig:
@@ -373,12 +385,18 @@ def _run_bench(job: BenchJob, out_dir: Path) -> int:
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
+    spec_flags = {"--m": ns.m, "--n": ns.n, "--k-true": ns.k_true, "--noise": ns.noise,
+                  "--outlier-frac": ns.outlier_frac, "--outlier-scale": ns.outlier_scale}
     spec = None
     if ns.input is None:
-        for flag, value in (("--m", ns.m), ("--n", ns.n), ("--k-true", ns.k_true)):
-            if value is None:
+        for flag in ("--m", "--n", "--k-true"):
+            if spec_flags[flag] is None:
                 raise InvalidSpec(f"{flag} is required when --input is not given")
         spec = _synth_spec(ns)
+    else:  # --seed stays: it seeds the random starts
+        for flag, value in spec_flags.items():
+            if value is not None:
+                raise InvalidSpec(f"{flag} synthesizes data; it cannot be given with --input")
     k = ns.k if ns.k is not None or spec is None else spec.k_true
     if k is None:
         raise InvalidSpec("--k is required when --input is given")
@@ -479,17 +497,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_spec_flags(sp: argparse.ArgumentParser, required: bool) -> None:
-    """The ``SynthSpec`` flags; --m, --n and --k-true are required or default to None."""
+    """The ``SynthSpec`` flags, --m, --n and --k-true ``required`` or not.  A
+    flag left out reads None, so that bench can tell which were given;
+    ``_synth_spec`` fills in the dataclass defaults."""
     sp.add_argument("--m", type=int, required=required, help="ambient dimension (features)")
     sp.add_argument("--n", type=int, required=required, help="number of samples")
     sp.add_argument("--k-true", type=int, required=required, dest="k_true",
                     help="dimension of the true subspace")
-    sp.add_argument("--noise", type=float, default=SynthSpec.noise_sigma,
-                    help="inlier noise sigma (default %(default)s)")
-    sp.add_argument("--outlier-frac", type=float, default=SynthSpec.outlier_frac, dest="outlier_frac",
-                    help="fraction of samples replaced by outliers, in [0, 1) (default %(default)s)")
-    sp.add_argument("--outlier-scale", type=float, default=SynthSpec.outlier_scale, dest="outlier_scale",
-                    help="standard deviation of outlier entries (default %(default)s)")
+    sp.add_argument("--noise", type=float,
+                    help=f"inlier noise sigma (default {SynthSpec.noise_sigma})")
+    sp.add_argument("--outlier-frac", type=float, dest="outlier_frac",
+                    help="fraction of samples replaced by outliers, in [0, 1)"
+                         f" (default {SynthSpec.outlier_frac})")
+    sp.add_argument("--outlier-scale", type=float, dest="outlier_scale",
+                    help=f"standard deviation of outlier entries (default {SynthSpec.outlier_scale})")
 
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:

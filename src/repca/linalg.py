@@ -150,10 +150,6 @@ class SymmetricMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 def _center_rows(values: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``values`` minus each row's mean, written to ``out`` (a fresh array

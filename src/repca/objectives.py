@@ -101,13 +101,6 @@ class NormSpec:
         return cls("l2p", p)
 
 
-def _check_pair(data: DataMatrix, basis: Projection) -> None:
-    if basis.m != data.n_features:
-        raise DimensionMismatch(
-            f"basis has {basis.m} rows but data has {data.n_features} features"
-        )
-
-
 class ColumnStats(NamedTuple):
     """Per-column sums of a residual Y."""
 
@@ -243,7 +236,10 @@ def _objective_from_residual(resid: np.ndarray, norm: NormSpec) -> float:
 
 def objective_value(data: DataMatrix, basis: Projection, norm: NormSpec) -> float:
     """True loss of reconstructing ``data`` through ``basis``.  Never clamped."""
-    _check_pair(data, basis)
+    if basis.m != data.n_features:
+        raise DimensionMismatch(
+            f"basis has {basis.m} rows but data has {data.n_features} features"
+        )
     return objective_from_stats(_basis_stats(data.values, basis.values, norm)[0], norm)
 
 

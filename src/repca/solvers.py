@@ -28,7 +28,7 @@ tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
                 in round s; no monotone guarantee.  V^T X is linear in V,
                 so it is taken as T + b (T - T_old) from the T of this
                 round's stats pass and of the last round's, with no
-                product with X.
+                product with X.  Round 1 has W_old = W and T_old = T.
 * ``irls``      the top-k eigenvectors of M, guarded: when they raise
                 sum_i d_i ||y_i||^2, pgd's step from W is taken instead,
                 and ``FitResult.guarded_steps`` counts it.
@@ -251,18 +251,17 @@ def fit(
     frobenius = math.sqrt(frobenius_sq)
     floor, clamp = SPAN_RTOL * frobenius, weight_clamp(frobenius, data.n_samples)
     w, gap_closed = _initial_basis(data, k, config)
-    # momentum's previous iterate and its W^T X: round 1 does not extrapolate
-    w_old, t_old = w, None
     gap_events = int(gap_closed)
     guarded_steps = 0
     stats, t = _basis_stats(x, w, norm, col_sq)
+    # momentum's W_old = W and T_old = W^T X make round 1's V = W and V^T X = T
+    w_old, t_old = w, t.copy() if config.variant == "momentum" else None
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
         basis = Projection(w)
         callback(0, basis, trace[0])
     converged = norm.kind == "fro"  # the vanilla start is its minimizer
-    iterations = 0
-    while not converged and iterations < config.max_iter:
+    while not converged and len(trace) <= config.max_iter:  # the start, then a round each
         if math.sqrt(stats.sq.sum()) <= floor:
             converged = True
             break
@@ -279,16 +278,14 @@ def fit(
             else:
                 v, w, stats = None, w_eig, stats_eig
         elif config.variant == "momentum":
-            s = iterations + 1
+            s = len(trace)
             b = (s - 2.0) / (s + 1.0)
             v = w + b * (w - w_old)
-            if t_old is None:  # round 1: W_old = W, so V^T X = T
-                t, t_old = t.copy(), t
-            else:  # V^T X = T + b (T - T_old), formed in T_old's buffer
-                np.subtract(t, t_old, out=t_old)
-                t_old *= b
-                t_old += t
-                t, t_old = t_old, t
+            # V^T X = T + b (T - T_old), formed in T_old's buffer
+            np.subtract(t, t_old, out=t_old)
+            t_old *= b
+            t_old += t
+            t, t_old = t_old, t
         if v is not None:
             shift = POWER_SHIFT_RTOL * float(d @ col_sq)
             # M V = X (d * V^T X)^T, scaled in t's own buffer: t is dropped
@@ -297,17 +294,16 @@ def fit(
             w, w_old, t = procrustes_project(x @ t.T + shift * v), w, None
             stats, t = _basis_stats(x, w, norm, col_sq)
         trace.append(objective_from_stats(stats, norm))
-        iterations += 1
         if callback is not None:
             basis = Projection(w)
-            callback(iterations, basis, trace[-1])
+            callback(len(trace) - 1, basis, trace[-1])
         converged = check_convergence(trace, config.tol)
     if callback is None:
         basis = Projection(w)
     return FitResult(
         projection=basis,
-        objective_trace=np.asarray(trace, dtype=float),
-        iterations=iterations,
+        objective_trace=trace,
+        iterations=len(trace) - 1,
         converged=converged,
         wall_time_ms=(time.perf_counter() - start) * 1000.0,
         monotone_violations=count_monotone_violations(trace),

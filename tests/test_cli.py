@@ -457,6 +457,26 @@ def test_bench_external_input(tmp_path, capsys):
     assert not (tmp_path / "wide").exists()
 
 
+@pytest.mark.parametrize("flag, value", (
+    ("--m", "99"), ("--n", "50"), ("--k-true", "1"), ("--noise", "3"), ("--outlier-frac", "0.1"),
+    ("--outlier-scale", "2"), ("--seed", "2"),
+))
+def test_bench_input_takes_no_synthesis_flag(tmp_path, capsys, flag, value):
+    """With --input the data are given, so a flag that would synthesize them
+    exits 2 naming it instead of being ignored; --seed, which seeds the
+    random starts, is taken."""
+    synth_dir = _synth(tmp_path)
+    out = tmp_path / "b"
+    argv = ["bench", "--input", str(synth_dir / "data.csv"), "--k", "1", flag, value,
+            "--max-iter", "20", "--out", str(out)]
+    if flag == "--seed":
+        assert main(argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["solver"]["seed"] == 2
+    else:
+        assert flag in _usage_error(capsys, argv)
+        assert not out.exists()
+
+
 def test_bench_flag_validation(tmp_path):
     synth_dir = _synth(tmp_path)
     out = str(tmp_path / "x")
@@ -669,8 +689,13 @@ def test_manifest_config_layout(tmp_path, command):
     assert main(_run_argv(command, synth_dir, tmp_path / "run")) == 0
     manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
     assert set(manifest) == {"tool", "version", "command", "config", "inputs", "outputs", "seed",
-                             "numpy", *BLAS_THREAD_VARIABLES}
+                             "numpy", "blas", *BLAS_THREAD_VARIABLES}
     assert manifest["numpy"] == np.__version__
+    if np.lib.NumpyVersion(np.__version__) >= "1.25.0":
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == f"{blas['name']} {blas['version']}"
+    else:  # numpy reports its BLAS build from 1.25 on
+        assert manifest["blas"] is None
     for name in BLAS_THREAD_VARIABLES:
         assert manifest[name] == os.environ.get(name)
     assert _key_tree(manifest["config"]) == CONFIG_LAYOUT[command]

@@ -1,5 +1,5 @@
 """The README's command-line examples run as written and write the files
-its "Outputs" list names."""
+its "Outputs" list names, and its library example runs as written."""
 import re
 import shlex
 from pathlib import Path
@@ -59,3 +59,11 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
             assert (out / name).is_file(), (argv, name)
     assert capsys.readouterr().err == ""
 
+
+def test_readme_library_example_runs(capsys):
+    """The ``python`` block under "Library use", under the suite's warning filters."""
+    block = re.search(r"```python\n(.*?)```", _section("Library use"), re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    converged, iterations, angle = capsys.readouterr().out.split()
+    assert converged == "True" and int(iterations) >= 1
+    assert 0.0 <= float(angle) < 0.01

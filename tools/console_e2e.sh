@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Run the installed `repca` console script end to end: synth, fit and rerun
-# on three data shapes, and check that each rerun writes the same basis byte
-# for byte.
+# on three data shapes, and check that each rerun writes the same basis and
+# the same manifest byte for byte.
 #
 # usage: tools/console_e2e.sh [workdir]
 #
@@ -15,13 +15,15 @@ work=${1:-$(mktemp -d)}
 mkdir -p "$work"
 cd "$work"
 
-# fit, then rerun its manifest; the two bases must match byte for byte
+# fit, then rerun its manifest; the two bases and the two manifests must
+# match byte for byte
 fit_and_rerun() {
   local name=$1
   shift
   repca fit "$@" --out "$name"
   repca rerun --manifest "$name/manifest.json" --out "$name-again"
   cmp "$name/w.csv" "$name-again/w.csv"
+  cmp "$name/manifest.json" "$name-again/manifest.json"
 }
 
 repca --version
