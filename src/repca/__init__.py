@@ -26,7 +26,7 @@ from .metrics import EvalReport, evaluate, principal_angles
 from .objectives import NormSpec, objective_value
 from .solvers import FitResult, SolverConfig, fit, vanilla_pca
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "CsvParseError",

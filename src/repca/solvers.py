@@ -10,17 +10,22 @@ the column sums of T^2, recomputing from the residual only the columns
 that cancel; for l1 it also forms the residual a block of columns at a
 time, in a buffer of its own, for |Y| (and for the squares too when one
 block holds every column).  The objective, the weight diagonal d and
-the span-floor test follow from those sums.  With M = X diag(d) X^T, the
-weighted quadratic built around the current basis is
-tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
-``SolverConfig.variant`` names raises tr(W^T M W):
+the span-floor test follow from those sums.  For pgd and momentum the
+same pass takes the next round's d and, on several l1 blocks, its
+product M V block by block (below); the round that ends the fit leaves
+them unused.  With M = X diag(d) X^T, the weighted quadratic built
+around the current basis is tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W),
+and the step ``SolverConfig.variant`` names raises tr(W^T M W):
 
 * ``pgd``       polar((M + sigma I) V) at V = W, the nearest-orthonormal
                 (Procrustes) factor of the shifted power step: the
                 generalized power method (Journee, Nesterov, Richtarik &
                 Sepulchre, 2010).  M V is taken as X (d * T)^T with the
                 stats pass's T = V^T X, one 2mnk-flop product, so the step
-                forms no m x m matrix and no spectrum.
+                forms no m x m matrix and no spectrum.  On l1 data whose
+                residual spans several column blocks, the stats pass adds
+                each block's share while the block is in cache; otherwise
+                it is one product after the pass.
                 The shift is sigma = POWER_SHIFT_RTOL tr(M), where
                 tr(M) = sum_i d_i ||x_i||^2 comes from the same column
                 norms of X.
@@ -28,7 +33,8 @@ tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
                 in round s; no monotone guarantee.  V^T X is linear in V,
                 so it is taken as T + b (T - T_old) from the T of this
                 round's stats pass and of the last round's, with no
-                product with X.  Round 1 has W_old = W and T_old = T.
+                product with X, and M V is taken from it as pgd's is.
+                Round 1 has W_old = W and T_old = T.
 * ``irls``      the top-k eigenvectors of M, guarded: when they raise
                 sum_i d_i ||y_i||^2, pgd's step from W is taken instead,
                 and ``FitResult.guarded_steps`` counts it.
@@ -92,6 +98,7 @@ from .objectives import (
     _basis_stats,
     _objective_from_residual,  # noqa: F401  (benchmarks/tracing.py wraps this name)
     objective_from_stats,
+    power_product,
     weighted_scatter,
     weights_from_stats,
 )
@@ -214,6 +221,11 @@ def _weights_for(norm: NormSpec, stats: ColumnStats, clamp: float) -> np.ndarray
     return weights_from_stats(stats, norm, clamp)
 
 
+def _extrapolation(s: int) -> float:
+    """momentum's coefficient b in round s."""
+    return (s - 2.0) / (s + 1.0)
+
+
 def fit(
     data: DataMatrix,
     k: int,
@@ -253,9 +265,12 @@ def fit(
     w, gap_closed = _initial_basis(data, k, config)
     gap_events = int(gap_closed)
     guarded_steps = 0
-    stats, t = _basis_stats(x, w, norm, col_sq)
-    # momentum's W_old = W and T_old = W^T X make round 1's V = W and V^T X = T
-    w_old, t_old = w, t.copy() if config.variant == "momentum" else None
+    # pgd's and momentum's stats passes also take the next round's d and M V
+    power_clamp = None if config.variant == "irls" or norm.kind == "fro" else clamp
+    momentum = config.variant == "momentum"
+    # momentum's W_old = W makes round 1's V = W, and its pass takes T_old = T
+    w_old, b = w, _extrapolation(1) if momentum else None
+    stats, t, power = _basis_stats(x, w, norm, col_sq, clamp=power_clamp, b=b)
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
         basis = Projection(w)
@@ -265,34 +280,33 @@ def fit(
         if math.sqrt(stats.sq.sum()) <= floor:
             converged = True
             break
-        d = _weights_for(norm, stats, clamp)
-        v = w  # the power step's point; t = W^T X from the stats pass
+        v = w  # the power step's point
         if config.variant == "irls":
             t = None  # not needed; freed before the scatter's m x n Z
+            d = _weights_for(norm, stats, clamp)
             w_eig, gap_closed = top_r_eigvecs(weighted_scatter(data, d), k)
             gap_events += gap_closed
-            stats_eig, t = _basis_stats(x, w_eig, norm, col_sq)
+            stats_eig = _basis_stats(x, w_eig, norm, col_sq)[0]
             if d @ stats_eig.sq > d @ stats.sq:  # the guard: power step from W
                 guarded_steps += 1
-                t = w.T @ x
+                mv = power_product(x, w.T @ x, d)
             else:
                 v, w, stats = None, w_eig, stats_eig
-        elif config.variant == "momentum":
-            s = len(trace)
-            b = (s - 2.0) / (s + 1.0)
-            v = w + b * (w - w_old)
-            # V^T X = T + b (T - T_old), formed in T_old's buffer
-            np.subtract(t, t_old, out=t_old)
-            t_old *= b
-            t_old += t
-            t, t_old = t_old, t
+        else:
+            # from the pass at W; momentum's V^T X is T + b (T - T_old)
+            d, vt, mv = power
+            if mv is None:  # l2p, or l1 on one block: taken only now a step follows
+                mv = power_product(x, vt, d)
+            power = vt = None  # dropped before the next stats pass
+            if momentum:
+                v = w + b * (w - w_old)
         if v is not None:
             shift = POWER_SHIFT_RTOL * float(d @ col_sq)
-            # M V = X (d * V^T X)^T, scaled in t's own buffer: t is dropped
-            # before the stats pass, and only momentum's T_old outlives the step
-            t *= d
-            w, w_old, t = procrustes_project(x @ t.T + shift * v), w, None
-            stats, t = _basis_stats(x, w, norm, col_sq)
+            w, w_old = procrustes_project(mv + shift * v), w
+            if momentum:
+                b = _extrapolation(len(trace) + 1)  # the next round's
+            # momentum's T becomes the next pass's T_old, in whose buffer it combines V^T X
+            stats, t, power = _basis_stats(x, w, norm, col_sq, clamp=power_clamp, b=b, t_old=t)
         trace.append(objective_from_stats(stats, norm))
         if callback is not None:
             basis = Projection(w)

@@ -99,7 +99,7 @@ def test_columnwise_gradient_matches_finite_differences():
             while True:
                 data = DataMatrix(rng.standard_normal((m, n)))
                 basis = Projection(procrustes_project(rng.standard_normal((m, k))))
-                stats, _ = _basis_stats(data.values, basis.values, norm)
+                stats = _basis_stats(data.values, basis.values, norm)[0]
                 if np.sqrt(stats.sq).min() >= 1e-3:
                     break
             d = weights_from_stats(stats, norm, CLAMP)

@@ -11,6 +11,7 @@ from repca.objectives import (
     _downdated_sq,
     column_stats,
     objective_from_stats,
+    power_product,
     weighted_scatter,
     weights_from_stats,
 )
@@ -88,7 +89,7 @@ def test_residual_is_orthogonal_to_basis():
         x = rng.standard_normal((m, n))
         before = x.copy()
         q, _ = np.linalg.qr(rng.standard_normal((m, k)))
-        stats, t = _basis_stats(x, q, L1)
+        stats, t, _ = _basis_stats(x, q, L1)
         np.testing.assert_allclose(stats.sq, (x * x).sum(axis=0) - (t * t).sum(axis=0), atol=1e-10)
         assert np.array_equal(x, before)
 
@@ -169,7 +170,7 @@ def test_downdated_norms_match_exact_arithmetic():
                                  + np.sqrt(ratio) * z / np.linalg.norm(z)))
     x = np.column_stack(cols)
     for norm in (NormSpec.l2p(0.5), NormSpec.fro()):
-        stats, _ = _basis_stats(x, w, norm)
+        stats = _basis_stats(x, w, norm)[0]
         flagged = _check_against_exact(x, w, stats.sq)
         # ratios 1e-1 and 1e-2 stand, 1e-4 to 1e-6 are recomputed
         assert not flagged[:8].any() and flagged[12:].all()
@@ -208,6 +209,14 @@ def test_cancelled_columns_are_recomputed(monkeypatch):
     assert sq[8] == direct[8] == np.inf and np.isfinite(np.delete(sq, 8)).all()
 
 
+def _product_bound(x, vt):
+    """Twice the bound gamma_n |X| |V^T X|^T on a product's rounding, n
+    being the inner dimension (Higham, 2002, section 3.5): it holds for
+    any order of summation, so for two orders it bounds their difference."""
+    n = x.shape[1]
+    return 2 * n * U / (1 - n * U) * (np.abs(x) @ np.abs(vt).T)
+
+
 @pytest.mark.parametrize("m, n, k", ((10, 200, 2), (300, 40, 3), (50, 999, 4), (7, 13, 7)))
 def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
     """For l1, the residual reduced one block of columns at a time has the
@@ -219,10 +228,20 @@ def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
     from the downdate, bit for bit ``_downdated_sq``'s.  Downdated (and
     recomputed in chunks of the same budgets when k = m), for l1 and l2p
     alike, they are within the sum of the downdate's and the whole
-    residual's error bounds.  T is W^T X bit for bit."""
+    residual's error bounds.  T is W^T X bit for bit.
+
+    Given the clamp, the pass's d is ``weights_from_stats`` of its stats
+    bit for bit, for pgd's V^T X = T and momentum's T + b (T - T_old).
+    On several l1 blocks its M V, each block adding its share, is within
+    ``_product_bound`` of X (d * V^T X)^T taken in one product.  When one
+    block holds every column, and for l2p, it leaves M V to
+    ``power_product``, whose product from the pass's V^T X and d is that
+    one bit for bit.  momentum's T is returned unchanged; pgd's buffer
+    holds V^T X, and T is not returned."""
     rng = np.random.default_rng(m * n)
     x = rng.standard_normal((m, n))
     w, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    t_old = np.linalg.qr(rng.standard_normal((m, k)))[0].T @ x
     whole = column_stats(x - w @ (w.T @ x), L1)
     col_sq = (x * x).sum(axis=0)
     tol_abs = 1e-13 * np.abs(x).sum(axis=0)
@@ -231,7 +250,8 @@ def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
     for width in (1, 3, 7, n - 1, n, n + 1):
         monkeypatch.setattr(repca.objectives, "_BLOCK_BYTES", 8 * m * width)
         for norm in (L1, NormSpec.l2p(0.5)):
-            stats, t = _basis_stats(x, w, norm)
+            stats, t, power = _basis_stats(x, w, norm)
+            assert power is None
             assert t.tobytes() == (w.T @ x).tobytes()
             if norm.kind == "l1" and width >= n:
                 assert stats.sq.tobytes() == whole.sq.tobytes()
@@ -244,6 +264,18 @@ def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
                     assert stats.abs.tobytes() == whole.abs.tobytes()
             else:
                 assert stats.abs is None
+            for b, vt in ((None, t), (0.25, t + 0.25 * (t - t_old))):
+                t_in = None if b is None else t_old.copy()
+                stats_p, t_p, (d, vt_p, mv) = _basis_stats(x, w, norm, clamp=EPS, b=b, t_old=t_in)
+                assert stats_p.sq.tobytes() == stats.sq.tobytes()
+                assert (t_p is None) if b is None else (t_p.tobytes() == t.tobytes())
+                assert d.tobytes() == weights_from_stats(stats_p, norm, EPS).tobytes()
+                ref = x @ (vt * d).T
+                if norm.kind == "l2p" or width >= n:
+                    assert mv is None and vt_p.tobytes() == vt.tobytes()
+                    assert power_product(x, vt_p, d).tobytes() == ref.tobytes()
+                else:
+                    assert np.all(np.abs(mv - ref) <= _product_bound(x, vt * d))
 
 
 def test_residual_dimension_mismatch():

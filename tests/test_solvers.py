@@ -326,9 +326,10 @@ def test_fit_replays_from_the_building_blocks(variant, norm):
     np.testing.assert_array_equal(out.objective_trace, trace)
 
 
-def _momentum_with_fresh_product(data, k, norm):
-    """momentum's loop from the vanilla start, rebuilt from the building
-    blocks with V^T X taken afresh each round; returns W and the rounds."""
+def _power_fit_with_one_gemm(data, k, norm, variant):
+    """pgd's or momentum's loop from the vanilla start, rebuilt from the
+    building blocks with V^T X taken afresh and M V in one gemm over all of
+    X each round; returns W and the rounds."""
     x = data.values
     col_sq = np.einsum("ij,ij->j", x, x)
     clamp = weight_clamp(np.sqrt(col_sq.sum()), data.n_samples)
@@ -338,7 +339,7 @@ def _momentum_with_fresh_product(data, k, norm):
     while len(trace) <= SolverConfig().max_iter and not check_convergence(trace, SolverConfig().tol):
         s = len(trace)
         d = weights_from_stats(stats, norm, clamp)
-        v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old)
+        v = w + ((s - 2.0) / (s + 1.0)) * (w - w_old) if variant == "momentum" else w
         shift = POWER_SHIFT_RTOL * float(d @ col_sq)
         w, w_old = procrustes_project(x @ ((v.T @ x) * d).T + shift * v), w
         stats = _basis_stats(x, w, norm, col_sq=col_sq)[0]
@@ -350,15 +351,17 @@ def _momentum_with_fresh_product(data, k, norm):
     pytest.param(10, 200, 2, range(8), (NormSpec.l1(), NormSpec.l2p(1.0)), id="small_grid"),
     pytest.param(50, 6000, 3, (1,), (NormSpec.l1(),), id="multi-block-l1"),
 ))
-def test_momentum_product_from_the_stats_passes_moves_by_rounding(m, n, k, seeds, norms):
-    """momentum's V^T X, combined from the T of two stats passes, differs
-    from the product taken afresh by rounding alone: each fit keeps its
-    rounds and its basis within 1e-9 rad.  50x6000 forms its l1 residual
-    in several column blocks."""
+@pytest.mark.parametrize("variant", ("pgd", "momentum"))
+def test_power_product_from_the_stats_passes_moves_by_rounding(variant, m, n, k, seeds, norms):
+    """The power step's M V, taken in the stats pass (block by block on
+    multi-block l1 data) and, for momentum, at V^T X combined from the T of
+    two stats passes, differs from the product taken afresh in one gemm by
+    rounding alone: each fit keeps its rounds and its basis within 1e-9
+    rad.  50x6000 forms its l1 residual in several column blocks."""
     for seed, norm in itertools.product(seeds, norms):
         data, _ = _instance(seed, m=m, n=n, k=k, frac=0.1, scale=5.0)
-        w, rounds = _momentum_with_fresh_product(data, k, norm)
-        out = fit(data, k, norm, SolverConfig(variant="momentum"))
+        w, rounds = _power_fit_with_one_gemm(data, k, norm, variant)
+        out = fit(data, k, norm, SolverConfig(variant=variant))
         assert out.converged and out.iterations == rounds, (seed, norm)
         assert principal_angles(out.projection, Projection(w))[-1] <= 1e-9, (seed, norm)
 

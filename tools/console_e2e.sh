@@ -41,9 +41,10 @@ fit_and_rerun long-momentum --input long/data.csv --k 3 --solver momentum
 # l2p, whose residual norms are downdated, on the multi-block long data (pgd) and the wide data (irls).
 fit_and_rerun long-l2p --input long/data.csv --k 3 --norm l2p --p 0.5 --solver pgd
 fit_and_rerun wide-l2p --input wide/data.csv --k 3 --norm l2p --p 0.5 --solver irls
-# Both must converge: irls's guarded step keeps wide-l2p from running all
-# 500 rounds, and long-momentum is the one momentum fit on multi-block data.
-for name in wide-l2p long-momentum; do
+# These must converge: irls's guarded step keeps wide-l2p from running all
+# 500 rounds, and long-pgd and long-momentum are the l1 power-step fits on
+# multi-block data, whose M V each residual block adds to in turn.
+for name in wide-l2p long-pgd long-momentum; do
   python -c "import json, sys; sys.exit(0 if json.load(open('$name/trace.json'))['converged'] else '$name did not converge')"
 done
 echo "console script end to end: ok ($work)"

@@ -15,9 +15,12 @@ vanilla and the random start (seed 3); plus one fit per variant with a
 callback, whose every call is hashed too; plus the fits that count closed
 eigengaps: the fro fit of a 2x4 matrix with X X^T = 2 I at k = 1, and
 one l1 fit per variant of the symmetric four-point 2x4 matrix, whose
-first reweighted scatter is isotropic.  For each fit the digest covers
-the basis, the objective trace, ``iterations``, ``converged``,
-``monotone_violations``, ``spectrum_gap_events`` and ``guarded_steps``.
+first reweighted scatter is isotropic; plus one fit per variant under
+l1 and l2p(1), from the vanilla start, of a 50x6000 problem (k = 3, data
+seed 1, otherwise as above) whose l1 residual spans several column
+blocks.  For each fit the digest covers the basis, the objective trace,
+``iterations``, ``converged``, ``monotone_violations``,
+``spectrum_gap_events`` and ``guarded_steps``.
 """
 from __future__ import annotations
 
@@ -38,8 +41,8 @@ CLOSED_GAP = DataMatrix(np.array([[1.0, 0.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]])
 FOUR_POINTS = DataMatrix(np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]), centered=True)
 
 
-def _problem(seed: int):
-    spec = SynthSpec(m=10, n=200, k_true=K, noise_sigma=0.1, outlier_frac=0.1,
+def _problem(seed: int, m: int = 10, n: int = 200, k: int = K):
+    spec = SynthSpec(m=m, n=n, k_true=k, noise_sigma=0.1, outlier_frac=0.1,
                      outlier_scale=5.0, seed=seed)
     return synth_subspace(spec)[0]
 
@@ -76,6 +79,11 @@ def main() -> int:
     for variant in VARIANTS:
         _update(h, fit(FOUR_POINTS, 1, NormSpec.l1(), SolverConfig(variant=variant, max_iter=20)))
         fits += 1
+    multi_block = _problem(1, m=50, n=6000, k=3)
+    for variant in VARIANTS:
+        for norm in NORMS[:2]:
+            _update(h, fit(multi_block, 3, norm, SolverConfig(variant=variant)))
+            fits += 1
     print(fits, h.hexdigest())
     return 0
 
