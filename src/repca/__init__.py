@@ -7,8 +7,9 @@ the elementwise l1 norm and a columnwise l2 norm raised to a power
 p in (0, 2], and minimizes all three losses on the same constraint set
 with one entry point, ``fit``: the squared loss in closed form, the
 robust ones with one iteratively reweighted loop that takes one of
-three steps: a shifted power step, the same step from a
-momentum-extrapolated point, or an eigenproblem per iteration.
+three steps: a Rayleigh-Ritz step over span[W, M W], a shifted power
+step from a momentum-extrapolated point, or an eigenproblem per
+iteration.
 
 Data convention throughout: samples are columns, features are rows,
 and columns are centered before fitting.
@@ -26,7 +27,7 @@ from .metrics import EvalReport, evaluate, principal_angles
 from .objectives import NormSpec, objective_value
 from .solvers import FitResult, SolverConfig, fit, vanilla_pca
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "CsvParseError",

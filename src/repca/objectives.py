@@ -16,8 +16,9 @@ per-column sums, ``column_stats``: the sums of squares and, for l1, the
 sums of |Y|, and only from those.  There is one formula per loss, shared
 by the objective, the weights and the solvers; ``metrics.evaluate``
 scores through ``objective_value``.  For a basis W, ``_basis_stats``
-takes T = W^T X in one product, and it alone forms those sums.  For the
-power step of pgd and momentum it also takes the weights d and
+takes T = W^T X in one product, unless the caller hands it T (pgd's
+Rayleigh-Ritz step forms it), and it alone forms those sums.  For the
+steps of pgd and momentum it also takes the weights d and
 M V = X (d * V^T X)^T, M = X diag(d) X^T, at V^T X = T or momentum's
 T + b (T - T_old).
 
@@ -54,7 +55,8 @@ squares, do not depend on the caller; the downdate's recompute runs in
 chunks of at most that width.  With several blocks each block also
 takes its slice of d, which depends on its own columns' sums alone, and
 adds X_b (d_b * V_b^T X_b)^T to M V while X_b is still in cache, so a
-power round reads X twice, for T and for the blocks, not three times.
+momentum round reads X twice, for T and for the blocks, not three times,
+and a pgd round, whose step forms its T, reads it twice too.
 A block of X and its residual buffer, 512 KiB each, fit together in a
 2 MiB L2 cache.  For l2p, which forms no residual, and for l1 on one
 block, ``power_product`` takes M V whole, and only once a step follows,
@@ -136,7 +138,7 @@ def column_stats(resid: np.ndarray, norm: NormSpec) -> ColumnStats:
 # The residual is formed and reduced this many bytes of columns at a time:
 # a block small enough to stay in cache from the product that writes it to
 # the passes that reduce it, large enough that per-block overhead is small.
-# The power step's product reads the block of X again, so the block and
+# The step's product M V reads the block of X again, so the block and
 # the buffer, 512 KiB each, fit a 2 MiB L2 together: on 200x5000 data the
 # pass with its product ran about 12% faster than the pass and a separate
 # product, and at 1 MiB about 7% slower.
@@ -198,9 +200,10 @@ def _basis_stats(
     clamp: float | None = None,
     b: float | None = None,
     t_old: np.ndarray | None = None,
+    t: np.ndarray | None = None,
 ) -> tuple[ColumnStats, np.ndarray | None, tuple | None]:
     """``column_stats`` of X - W (W^T X), T = W^T X and, given the weight
-    ``clamp``, the power step's weights d and product M V = X (d * V^T X)^T.
+    ``clamp``, the step's weights d and product M V = X (d * V^T X)^T.
 
     The squared column norms are downdated from ``col_sq`` = ||x_i||^2
     (``_downdated_sq``; taken there when not given), except for l1 on data
@@ -224,8 +227,13 @@ def _basis_stats(
     share of M V, scaling its columns of V^T X by d in place, while its
     columns of X are still in cache.  Otherwise M V is None, and
     ``power_product`` takes it whole once a step follows.
+
+    A caller that already holds W^T X passes it as ``t``, and no product
+    with X is taken for it here; the buffer is then the pass's own.  pgd
+    passes its Rayleigh-Ritz step's U^T S, equal to W^T X to rounding.
     """
-    t = w.T @ x
+    if t is None:
+        t = w.T @ x
     m, n = x.shape
     width = _block_width(m, n) if norm.kind == "l1" else n
     if width == n and norm.kind == "l1":  # one block

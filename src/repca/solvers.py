@@ -15,34 +15,53 @@ same pass takes the next round's d and, on several l1 blocks, its
 product M V block by block (below); the round that ends the fit leaves
 them unused.  With M = X diag(d) X^T, the weighted quadratic built
 around the current basis is tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W),
-and the step ``SolverConfig.variant`` names raises tr(W^T M W):
+and the step ``SolverConfig.variant`` names raises tr(W^T M W).  M V is
+always taken as X (d * V^T X)^T, one 2mnk-flop product, so neither pgd
+nor momentum forms an m x m matrix.  On l1 data whose residual spans
+several column blocks, the stats pass adds each block's share while the
+block is in cache; otherwise it is one product after the pass.
 
-* ``pgd``       polar((M + sigma I) V) at V = W, the nearest-orthonormal
-                (Procrustes) factor of the shifted power step: the
+* ``pgd``       the Rayleigh-Ritz step over span[W, M W]: the W' that
+                maximizes tr(W'^T M W') among orthonormal m x k matrices
+                in that subspace, the subspace step of LOBPCG (Knyazev,
+                SIAM J. Sci. Comput. 2001) without its third block.  Q is
+                an orthonormal basis of [W, M W / tr(M)] from its thin
+                SVD, less the directions whose singular value is at or
+                below DROP_RTOL of the largest, as robust LOBPCG codes
+                drop them (Duersch, Shao, Yang & Gu, SIAM J. Sci. Comput.
+                2018).  The step takes S = Q^T X, one product with X of
+                at most 2k rows, sums G = S diag(d) S^T = Q^T M Q over
+                column blocks, and takes the top-k eigenvectors U of G:
+                W' = Q U, and T' = U^T S, which the next stats pass takes
+                for W'^T X.  A round thus reads X twice, for S and for
+                the stats pass with its M W.  tr(M) = sum_i d_i ||x_i||^2
+                comes from the column norms of X; M W / tr(M) has norm at
+                most 1, and the scale overflows no square.
+* ``momentum``  the shifted power step polar((M + sigma I) V) at
+                V = W + b (W - W_old), b = (s-2)/(s+1) in round s: the
+                nearest-orthonormal (Procrustes) factor, as in the
                 generalized power method (Journee, Nesterov, Richtarik &
-                Sepulchre, 2010).  M V is taken as X (d * T)^T with the
-                stats pass's T = V^T X, one 2mnk-flop product, so the step
-                forms no m x m matrix and no spectrum.  On l1 data whose
-                residual spans several column blocks, the stats pass adds
-                each block's share while the block is in cache; otherwise
-                it is one product after the pass.
-                The shift is sigma = POWER_SHIFT_RTOL tr(M), where
-                tr(M) = sum_i d_i ||x_i||^2 comes from the same column
-                norms of X.
-* ``momentum``  the same step from V = W + b (W - W_old), b = (s-2)/(s+1)
-                in round s; no monotone guarantee.  V^T X is linear in V,
-                so it is taken as T + b (T - T_old) from the T of this
-                round's stats pass and of the last round's, with no
-                product with X, and M V is taken from it as pgd's is.
-                Round 1 has W_old = W and T_old = T.
+                Sepulchre, 2010), from an extrapolated point; no monotone
+                guarantee.  V^T X is linear in V, so it is taken as
+                T + b (T - T_old) from the T of this round's stats pass
+                and of the last round's, with no product with X.  Round 1
+                has W_old = W and T_old = T.  The shift is
+                sigma = POWER_SHIFT_RTOL tr(M).
 * ``irls``      the top-k eigenvectors of M, guarded: when they raise
-                sum_i d_i ||y_i||^2, pgd's step from W is taken instead,
-                and ``FitResult.guarded_steps`` counts it.
+                sum_i d_i ||y_i||^2, the shifted power step from W (V = W)
+                is taken instead, and ``FitResult.guarded_steps`` counts it.
 
-pgd's step never lowers tr(W^T M W): f(W) = tr(W^T (M + sigma I) W) is
-convex, so f(W') >= f(W) + <grad f(W), W' - W>, and the polar factor W'
-maximizes <(M + sigma I) W, W'> over orthonormal W'; on those, f differs
-from tr(W^T M W) only by the constant sigma k.  Any sigma >= 0 keeps that
+pgd's step never lowers tr(W^T M W): W lies in span[W, M W], so W' is
+chosen from a set that holds W.  The dropped directions carry at most
+DROP_RTOL of [W, M W / tr(M)], a rounding-sized loss.  Near a fixed
+point M W ~ W (W^T M W), the new part of M W vanishes and is dropped, and
+the step keeps span(W).
+
+The shifted power step at V = W never lowers tr(W^T M W) either:
+f(W) = tr(W^T (M + sigma I) W) is convex, so
+f(W') >= f(W) + <grad f(W), W' - W>, and the polar factor W' maximizes
+<(M + sigma I) W, W'> over orthonormal W'; on those, f differs from
+tr(W^T M W) only by the constant sigma k.  Any sigma >= 0 keeps that
 guarantee.  The shift bounds s_min / s_max of (M + sigma I) W below by
 POWER_SHIFT_RTOL / (1 + POWER_SHIFT_RTOL), since s_min >= sigma and
 s_max <= tr(M) + sigma, so the retraction's rank test cannot trip even
@@ -96,6 +115,7 @@ from .objectives import (
     ColumnStats,
     NormSpec,
     _basis_stats,
+    _block_width,
     _objective_from_residual,  # noqa: F401  (benchmarks/tracing.py wraps this name)
     objective_from_stats,
     power_product,
@@ -109,9 +129,16 @@ SPAN_RTOL = 1e-12
 # Residual column norms are clamped at this fraction of the RMS column norm.
 CLAMP_RTOL = 1e-10
 CLAMP_FLOOR = math.sqrt(sys.float_info.min)
-# The power step's shift sigma as a fraction of tr(M): it keeps s_min / s_max
-# of (M + sigma I) V at or above 1e-4 / (3 (1 + 1e-4)); a smaller one saves no rounds.
+# The shifted power step's sigma as a fraction of tr(M), for momentum and irls's
+# guard: it keeps s_min / s_max of (M + sigma I) V at or above 1e-4 / (3 (1 + 1e-4));
+# a smaller one saved pgd no rounds when pgd took this step.
 POWER_SHIFT_RTOL = 1e-4
+# pgd's step drops the directions of [W, M W / tr(M)] whose singular value is
+# at or below this fraction of the largest: near a fixed point M W lies in
+# span(W), and what is left of its new part is rounding.  Kept, that rounding
+# moved reordered or rescaled small_grid fits by up to 8e-7 rad; at 1e-7 pgd
+# stopped short of irls's objective on the 60 x 8 l1 plateau.
+DROP_RTOL = 1e-10
 # The random start draws from its own stream of the seed.  datagen draws the
 # planted basis first from default_rng(seed), so a start drawn from that
 # same stream would be the planted basis whenever the seeds agree.
@@ -221,6 +248,22 @@ def _weights_for(norm: NormSpec, stats: ColumnStats, clamp: float) -> np.ndarray
     return weights_from_stats(stats, norm, clamp)
 
 
+def _ritz_step(x: np.ndarray, w: np.ndarray, mw: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """pgd's step: the W' maximizing tr(W'^T M W') over span[W, M W], and
+    T' = W'^T X as the step forms it (module docstring).  ``mw`` is
+    M W / tr(M); d is M's weight diagonal."""
+    u, sv, _ = np.linalg.svd(np.concatenate((w, mw), axis=1), full_matrices=False)
+    q = u[:, : np.count_nonzero(sv > DROP_RTOL * sv[0])]
+    s = q.T @ x
+    # G = S diag(d) S^T, summed over column blocks: S diag(d) is never formed whole
+    width = _block_width(*x.shape)
+    g = (s[:, :width] * d[:width]) @ s[:, :width].T
+    for i in range(width, x.shape[1], width):
+        g += (s[:, i:i + width] * d[i:i + width]) @ s[:, i:i + width].T
+    top = np.linalg.eigh(g)[1][:, -w.shape[1]:]
+    return q @ top, top.T @ s
+
+
 def _extrapolation(s: int) -> float:
     """momentum's coefficient b in round s."""
     return (s - 2.0) / (s + 1.0)
@@ -243,8 +286,8 @@ def fit(
     loss can rise once a column falls below the clamp.  The l1 loss has no
     such bound.  irls's guard makes it monotone on the same sum.  Rises of
     the true loss are counted in ``monotone_violations``, closed eigengaps
-    in ``spectrum_gap_events``, and irls rounds that took the power step
-    in ``guarded_steps``.
+    in ``spectrum_gap_events``, and irls rounds that took the shifted power
+    step in ``guarded_steps``.
 
     ``callback(it, basis, objective)`` sees the start (it = 0) and every
     iterate after it.
@@ -280,7 +323,7 @@ def fit(
         if math.sqrt(stats.sq.sum()) <= floor:
             converged = True
             break
-        v = w  # the power step's point
+        v = w  # the shifted power step's point, None when no such step is taken
         if config.variant == "irls":
             t = None  # not needed; freed before the scatter's m x n Z
             d = _weights_for(norm, stats, clamp)
@@ -300,6 +343,11 @@ def fit(
             power = vt = None  # dropped before the next stats pass
             if momentum:
                 v = w + b * (w - w_old)
+            else:  # pgd: the Rayleigh-Ritz step, which hands the stats pass W'^T X
+                mv /= float(d @ col_sq)  # M W / tr(M)
+                w, t = _ritz_step(x, w, mv, d)
+                stats, t, power = _basis_stats(x, w, norm, col_sq, clamp=power_clamp, t=t)
+                v = None
         if v is not None:
             shift = POWER_SHIFT_RTOL * float(d @ col_sq)
             w, w_old = procrustes_project(mv + shift * v), w
