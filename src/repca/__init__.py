@@ -9,7 +9,8 @@ with one entry point, ``fit``: the squared loss in closed form, the
 robust ones with one iteratively reweighted loop that takes one of
 three steps: a Rayleigh-Ritz step over span[W, M W], a shifted power
 step from a momentum-extrapolated point, or an eigenproblem per
-iteration.
+iteration, which falls back on the Rayleigh-Ritz step when its
+eigenvectors would raise the weighted quadratic.
 
 Data convention throughout: samples are columns, features are rows,
 and columns are centered before fitting.
@@ -27,7 +28,7 @@ from .metrics import EvalReport, evaluate, principal_angles
 from .objectives import NormSpec, objective_value
 from .solvers import FitResult, SolverConfig, fit, vanilla_pca
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "CsvParseError",

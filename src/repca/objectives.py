@@ -9,7 +9,10 @@ clamp c on residual column norms, which ``solvers.fit`` sets from the
 data's scale, only guards the weight denominators.  For l2p the clamped
 weights are, up to a factor 2 that moves no step, the MM weights of the
 loss Huberized at c: h(t) = t^p for t >= c, (p/2) c^(p-2) t^2 +
-(1 - p/2) c^p below.
+(1 - p/2) c^p below.  Each round's weighted quadratic lies above the sum
+of h, so a step that never raises the quadratic never raises that sum;
+the true loss can rise once a column falls below c.  The l1 weights
+give no such bound.
 
 Every loss and every weight diagonal is computed from the residual's
 per-column sums, ``column_stats``: the sums of squares and, for l1, the
@@ -17,10 +20,9 @@ sums of |Y|, and only from those.  There is one formula per loss, shared
 by the objective, the weights and the solvers; ``metrics.evaluate``
 scores through ``objective_value``.  For a basis W, ``_basis_stats``
 takes T = W^T X in one product, unless the caller hands it T (pgd's
-Rayleigh-Ritz step forms it), and it alone forms those sums.  For the
-steps of pgd and momentum it also takes the weights d and
-M V = X (d * V^T X)^T, M = X diag(d) X^T, at V^T X = T or momentum's
-T + b (T - T_old).
+Rayleigh-Ritz step forms it), and it alone forms those sums.  Given the
+clamp it also takes a step's weights d and M V = X (d * V^T X)^T,
+M = X diag(d) X^T, at V^T X = T or at the caller's V^T X.
 
 Its squared norms come from a downdate, except for l1 on data whose
 residual is one block (below), and for fro and l2p it forms no residual.
@@ -54,13 +56,10 @@ width is fixed by m and n alone, so the sums, and which path gives the
 squares, do not depend on the caller; the downdate's recompute runs in
 chunks of at most that width.  With several blocks each block also
 takes its slice of d, which depends on its own columns' sums alone, and
-adds X_b (d_b * V_b^T X_b)^T to M V while X_b is still in cache, so a
-momentum round reads X twice, for T and for the blocks, not three times,
-and a pgd round, whose step forms its T, reads it twice too.
-A block of X and its residual buffer, 512 KiB each, fit together in a
-2 MiB L2 cache.  For l2p, which forms no residual, and for l1 on one
-block, ``power_product`` takes M V whole, and only once a step follows,
-so the round that ends a fit does not pay for it.  The reweighted
+adds X_b (d_b * V_b^T X_b)^T to M V while X_b is still in cache, so
+M V costs no read of X of its own.  For l2p, which forms no residual,
+and for l1 on one block, ``power_product`` takes M V whole, and only
+once a step follows, so the round that ends a fit does not pay for it.  The reweighted
 scatter X diag(d) X^T is built as Z Z^T with Z = X diag(sqrt d), a
 symmetric rank-n update that is exactly symmetric.
 """
@@ -139,9 +138,7 @@ def column_stats(resid: np.ndarray, norm: NormSpec) -> ColumnStats:
 # a block small enough to stay in cache from the product that writes it to
 # the passes that reduce it, large enough that per-block overhead is small.
 # The step's product M V reads the block of X again, so the block and
-# the buffer, 512 KiB each, fit a 2 MiB L2 together: on 200x5000 data the
-# pass with its product ran about 12% faster than the pass and a separate
-# product, and at 1 MiB about 7% slower.
+# the buffer, 512 KiB each, fit a 2 MiB L2 together (timed in CHANGES.md).
 _BLOCK_BYTES = 1 << 19
 # ...but at least this many columns, so that m >> n data is not reduced
 # column by column.
@@ -197,40 +194,25 @@ def _basis_stats(
     norm: NormSpec,
     col_sq: np.ndarray | None = None,
     *,
-    clamp: float | None = None,
-    b: float | None = None,
-    t_old: np.ndarray | None = None,
     t: np.ndarray | None = None,
-) -> tuple[ColumnStats, np.ndarray | None, tuple | None]:
-    """``column_stats`` of X - W (W^T X), T = W^T X and, given the weight
+    clamp: float | None = None,
+    vt: np.ndarray | None = None,
+) -> tuple[ColumnStats, tuple | None]:
+    """``column_stats`` of X - W T for T = W^T X and, given the weight
     ``clamp``, the step's weights d and product M V = X (d * V^T X)^T.
 
-    The squared column norms are downdated from ``col_sq`` = ||x_i||^2
-    (``_downdated_sq``; taken there when not given), except for l1 on data
-    whose residual is one block.  For fro and l2p no residual is formed.
-    For l1, which needs |Y|, the residual is formed and reduced one block
-    of columns at a time in a buffer allocated here, after the downdate, so
-    that the downdate's recompute never runs beside it.  When one block
-    holds every column, its squares are summed in the same pass: there the
-    downdate's fixed cost per call exceeds the pass it saves.  With several
-    blocks only |Y| is summed.  The block width, and so the choice, is a
-    function of (m, n) alone.  The blocks split the n columns evenly, so
-    none is much narrower than the buffer: a one-column block would take
-    BLAS's gemv path, whose rounding differs from gemm's.
+    T is taken here in one product unless the caller passes it as ``t``.
+    The squared norms and the l1 blocks follow the module docstring;
+    ``col_sq`` = ||x_i||^2 is taken in ``_downdated_sq`` when not given.
+    The blocks split the n columns evenly, so none is much narrower than
+    the buffer: a one-column block would take BLAS's gemv path, whose
+    rounding differs from gemm's.
 
-    Given ``clamp``, the third item is (d, V^T X, M V).  V^T X is T when
-    ``b`` is None (pgd's V = W), in T's own buffer, and T is then not
-    returned.  Otherwise it is T + b (T - T_old), combined in ``t_old``'s
-    buffer, or in a copy of T when ``t_old`` is None (momentum's first
-    round, where W_old = W).  Each d_i depends on column i's sums alone,
-    so on several l1 blocks each block takes its slice of d and adds its
-    share of M V, scaling its columns of V^T X by d in place, while its
-    columns of X are still in cache.  Otherwise M V is None, and
+    Given ``clamp``, the second item is (d, V^T X, M V), V^T X being the
+    caller's ``vt``, or T when none is given.  On several l1 blocks each
+    block takes its slice of d and adds its share of M V, scaling its
+    columns of V^T X by d in place.  Otherwise M V is None, and
     ``power_product`` takes it whole once a step follows.
-
-    A caller that already holds W^T X passes it as ``t``, and no product
-    with X is taken for it here; the buffer is then the pass's own.  pgd
-    passes its Rayleigh-Ritz step's U^T S, equal to W^T X to rounding.
     """
     if t is None:
         t = w.T @ x
@@ -242,13 +224,8 @@ def _basis_stats(
         stats = ColumnStats(_downdated_sq(x, w, t, col_sq), None)
     if clamp is None:
         vt = None
-    elif b is None:
+    elif vt is None:
         vt = t
-    else:
-        vt = t.copy() if t_old is None else t_old
-        np.subtract(t, vt, out=vt)
-        vt *= b
-        vt += t
     mv = None
     if width < n:  # several l1 blocks
         blocks = -(-n // width)
@@ -268,7 +245,7 @@ def _basis_stats(
         stats = ColumnStats(sq, ab)
     elif vt is not None:
         d = weights_from_stats(stats, norm, clamp)
-    return stats, (None if vt is t else t), (None if vt is None else (d, vt, mv))
+    return stats, (None if vt is None else (d, vt, mv))
 
 
 def power_product(x: np.ndarray, vt: np.ndarray, d: np.ndarray) -> np.ndarray:

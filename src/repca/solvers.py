@@ -5,21 +5,16 @@ closed-form minimizer, the vanilla start (``vanilla_pca`` returns it too),
 and runs no round.  For l1 and l2p it runs one reweighted
 majorize-minimize (MM) loop.  Each round reduces the residual
 X - W W^T X to ``objectives.column_stats`` with ``_basis_stats``, which
-takes T = W^T X once.  It downdates ||x_i||^2, taken once per fit, by
-the column sums of T^2, recomputing from the residual only the columns
-that cancel; for l1 it also forms the residual a block of columns at a
-time, in a buffer of its own, for |Y| (and for the squares too when one
-block holds every column).  The objective, the weight diagonal d and
-the span-floor test follow from those sums.  For pgd and momentum the
-same pass takes the next round's d and, on several l1 blocks, its
-product M V block by block (below); the round that ends the fit leaves
-them unused.  With M = X diag(d) X^T, the weighted quadratic built
-around the current basis is tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W),
-and the step ``SolverConfig.variant`` names raises tr(W^T M W).  M V is
-always taken as X (d * V^T X)^T, one 2mnk-flop product, so neither pgd
-nor momentum forms an m x m matrix.  On l1 data whose residual spans
-several column blocks, the stats pass adds each block's share while the
-block is in cache; otherwise it is one product after the pass.
+takes T = W^T X once and forms the sums as the ``objectives`` docstring
+says.  The objective, the weight diagonal d and the span-floor test
+follow from those sums.  For pgd and momentum the same pass takes the
+next round's d and, on several l1 blocks, its product M V block by
+block; the round that ends the fit leaves them unused.  With
+M = X diag(d) X^T, the weighted quadratic built around the current
+basis is tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
+``SolverConfig.variant`` names raises tr(W^T M W).  M V is always taken
+as X (d * V^T X)^T, one 2mnk-flop product, so neither pgd nor momentum
+forms an m x m matrix.
 
 * ``pgd``       the Rayleigh-Ritz step over span[W, M W]: the W' that
                 maximizes tr(W'^T M W') among orthonormal m x k matrices
@@ -48,8 +43,9 @@ block is in cache; otherwise it is one product after the pass.
                 has W_old = W and T_old = T.  The shift is
                 sigma = POWER_SHIFT_RTOL tr(M).
 * ``irls``      the top-k eigenvectors of M, guarded: when they raise
-                sum_i d_i ||y_i||^2, the shifted power step from W (V = W)
-                is taken instead, and ``FitResult.guarded_steps`` counts it.
+                sum_i d_i ||y_i||^2, pgd's step from W is taken instead,
+                M W from ``power_product``, and
+                ``FitResult.guarded_steps`` counts it.
 
 pgd's step never lowers tr(W^T M W): W lies in span[W, M W], so W' is
 chosen from a set that holds W.  The dropped directions carry at most
@@ -57,27 +53,22 @@ DROP_RTOL of [W, M W / tr(M)], a rounding-sized loss.  Near a fixed
 point M W ~ W (W^T M W), the new part of M W vanishes and is dropped, and
 the step keeps span(W).
 
-The shifted power step at V = W never lowers tr(W^T M W) either:
-f(W) = tr(W^T (M + sigma I) W) is convex, so
-f(W') >= f(W) + <grad f(W), W' - W>, and the polar factor W' maximizes
-<(M + sigma I) W, W'> over orthonormal W'; on those, f differs from
-tr(W^T M W) only by the constant sigma k.  Any sigma >= 0 keeps that
-guarantee.  The shift bounds s_min / s_max of (M + sigma I) W below by
-POWER_SHIFT_RTOL / (1 + POWER_SHIFT_RTOL), since s_min >= sigma and
-s_max <= tr(M) + sigma, so the retraction's rank test cannot trip even
-when the weights span the clamp.  momentum's V = (1 + b) W - b W_old, with
-b = (s-2)/(s+1) in [0, 1) once W_old differs from W, has singular values
-in [1, 1 + 2b] (for unit u, ||V u|| is within b of (1 + b) ||W u||), so for
-its step the bound is POWER_SHIFT_RTOL / (3 (1 + POWER_SHIFT_RTOL)).
+momentum's shift is there for its retraction: once the weights span the
+clamp, the singular values of M V alone can span past the rank test of
+``procrustes_project``.  V = (1 + b) W - b W_old, with b = (s-2)/(s+1) in
+[0, 1) once W_old differs from W, has singular values in [1, 1 + 2b]
+(for unit u, ||V u|| is within b of (1 + b) ||W u||).  So (M + sigma I) V
+has s_min >= sigma and s_max <= 3 (tr(M) + sigma), and s_min / s_max
+stays at or above POWER_SHIFT_RTOL / (3 (1 + POWER_SHIFT_RTOL)).
 
 irls's eigenvectors maximize tr(W^T M W) in exact arithmetic only.  When
 the weights span c^(p-2) (c the clamp), a few huge weights dominate M,
 ``eigh`` resolves the other directions to about eps ||M|| alone, and the
 step can raise the weighted quadratic.  The guard compares
 sum_i d_i ||y_i||^2 at the candidate, from the ``_basis_stats`` call the
-next round needs anyway, with the same sum at W, and takes the power step
+next round needs anyway, with the same sum at W, and takes pgd's step
 only when the candidate raised it: a safeguarded MM step (Hunter & Lange,
-The American Statistician, 2004), which makes irls as monotone as pgd.
+The American Statistician, 2004), monotone by pgd's argument above.
 Only that step takes W^T X again.  The comparison is on the residual
 side; tr(W^T M W) from T would cancel at such weights.
 
@@ -129,9 +120,9 @@ SPAN_RTOL = 1e-12
 # Residual column norms are clamped at this fraction of the RMS column norm.
 CLAMP_RTOL = 1e-10
 CLAMP_FLOOR = math.sqrt(sys.float_info.min)
-# The shifted power step's sigma as a fraction of tr(M), for momentum and irls's
-# guard: it keeps s_min / s_max of (M + sigma I) V at or above 1e-4 / (3 (1 + 1e-4));
-# a smaller one saved pgd no rounds when pgd took this step.
+# momentum's shift sigma as a fraction of tr(M): it keeps s_min / s_max of
+# (M + sigma I) V at or above 1e-4 / (3 (1 + 1e-4)); a smaller one saved pgd
+# no rounds when pgd took this step.
 POWER_SHIFT_RTOL = 1e-4
 # pgd's step drops the directions of [W, M W / tr(M)] whose singular value is
 # at or below this fraction of the largest: near a fixed point M W lies in
@@ -280,14 +271,11 @@ def fit(
 
     For fro the vanilla start is the minimizer: the result holds it, with
     ``iterations=0``, ``converged=True`` and a one-entry trace.  For l1 and
-    l2p it runs the MM loop of the module docstring.  For l2p the weighted
-    quadratic of each round lies above the sum of h, the loss Huberized at
-    the clamp (see ``objectives``), so pgd never raises that sum; the true
-    loss can rise once a column falls below the clamp.  The l1 loss has no
-    such bound.  irls's guard makes it monotone on the same sum.  Rises of
-    the true loss are counted in ``monotone_violations``, closed eigengaps
-    in ``spectrum_gap_events``, and irls rounds that took the shifted power
-    step in ``guarded_steps``.
+    l2p it runs the MM loop of the module docstring.  pgd, and irls through
+    its guard, never raise the weighted quadratic, so for l2p never the
+    Huberized sum of ``objectives``.  Rises of the true loss are counted in
+    ``monotone_violations``, closed eigengaps in ``spectrum_gap_events``,
+    and irls rounds whose guard took pgd's step in ``guarded_steps``.
 
     ``callback(it, basis, objective)`` sees the start (it = 0) and every
     iterate after it.
@@ -295,7 +283,7 @@ def fit(
     config = _check_fit_args(data, k, norm, config)
     start = time.perf_counter()
     x = data.values
-    # ||x_i||^2: ||X||_F, the residual norms' downdate and the power step's
+    # ||x_i||^2: ||X||_F, the residual norms' downdate and the steps'
     # tr(M) = sum_i d_i ||x_i||^2 all come from it
     col_sq = np.einsum("ij,ij->j", x, x)
     with np.errstate(over="ignore"):
@@ -311,9 +299,11 @@ def fit(
     # pgd's and momentum's stats passes also take the next round's d and M V
     power_clamp = None if config.variant == "irls" or norm.kind == "fro" else clamp
     momentum = config.variant == "momentum"
-    # momentum's W_old = W makes round 1's V = W, and its pass takes T_old = T
-    w_old, b = w, _extrapolation(1) if momentum else None
-    stats, t, power = _basis_stats(x, w, norm, col_sq, clamp=power_clamp, b=b)
+    t = vt = None
+    if momentum:  # W_old = W makes round 1's V = W, and its V^T X a copy of T
+        w_old, b, t = w, _extrapolation(1), w.T @ x
+        vt = t.copy()
+    stats, power = _basis_stats(x, w, norm, col_sq, t=t, clamp=power_clamp, vt=vt)
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
         basis = Projection(w)
@@ -323,38 +313,38 @@ def fit(
         if math.sqrt(stats.sq.sum()) <= floor:
             converged = True
             break
-        v = w  # the shifted power step's point, None when no such step is taken
         if config.variant == "irls":
-            t = None  # not needed; freed before the scatter's m x n Z
             d = _weights_for(norm, stats, clamp)
             w_eig, gap_closed = top_r_eigvecs(weighted_scatter(data, d), k)
             gap_events += gap_closed
             stats_eig = _basis_stats(x, w_eig, norm, col_sq)[0]
-            if d @ stats_eig.sq > d @ stats.sq:  # the guard: power step from W
+            if d @ stats_eig.sq > d @ stats.sq:  # the guard: pgd's step from W instead
                 guarded_steps += 1
                 mv = power_product(x, w.T @ x, d)
             else:
-                v, w, stats = None, w_eig, stats_eig
+                w, stats, mv = w_eig, stats_eig, None
         else:
             # from the pass at W; momentum's V^T X is T + b (T - T_old)
             d, vt, mv = power
             if mv is None:  # l2p, or l1 on one block: taken only now a step follows
                 mv = power_product(x, vt, d)
             power = vt = None  # dropped before the next stats pass
-            if momentum:
-                v = w + b * (w - w_old)
-            else:  # pgd: the Rayleigh-Ritz step, which hands the stats pass W'^T X
-                mv /= float(d @ col_sq)  # M W / tr(M)
-                w, t = _ritz_step(x, w, mv, d)
-                stats, t, power = _basis_stats(x, w, norm, col_sq, clamp=power_clamp, t=t)
-                v = None
-        if v is not None:
+        if momentum:
             shift = POWER_SHIFT_RTOL * float(d @ col_sq)
-            w, w_old = procrustes_project(mv + shift * v), w
-            if momentum:
-                b = _extrapolation(len(trace) + 1)  # the next round's
-            # momentum's T becomes the next pass's T_old, in whose buffer it combines V^T X
-            stats, t, power = _basis_stats(x, w, norm, col_sq, clamp=power_clamp, b=b, t_old=t)
+            w, w_old = procrustes_project(mv + shift * (w + b * (w - w_old))), w
+            b = _extrapolation(len(trace) + 1)  # the next round's
+            # the next V^T X = T + b (T - T_old), combined in T_old's buffer
+            vt, t = t, w.T @ x
+            np.subtract(t, vt, out=vt)
+            vt *= b
+            vt += t
+            stats, power = _basis_stats(x, w, norm, col_sq, t=t, clamp=power_clamp, vt=vt)
+        elif mv is not None:  # pgd, or irls's guard: the Rayleigh-Ritz step from W
+            mv /= float(d @ col_sq)  # M W / tr(M)
+            w, vt = _ritz_step(x, w, mv, d)
+            # T' stands in for W'^T X, and pgd's pass scales it by d as its next V^T X
+            stats, power = _basis_stats(x, w, norm, col_sq, t=vt, clamp=power_clamp)
+            vt = None  # irls keeps no T into its next round
         trace.append(objective_from_stats(stats, norm))
         if callback is not None:
             basis = Projection(w)

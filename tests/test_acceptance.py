@@ -199,7 +199,7 @@ def test_irls_huberized_objective_never_increases_for_small_exponents():
     """irls never raises sum h either.  Clamped weights reach c^(p-2), so
     eigh on the scatter resolves the other directions poorly and its step
     can raise the weighted quadratic (by up to 3.6e-2 of J0 here); the
-    guard then takes the shifted power step instead."""
+    guard then takes pgd's Rayleigh-Ritz step instead."""
     worst = max(max(_huberized_rises("irls", p)) for p in SMALL_EXPONENTS)
     _report("irls huberized descent", worst <= 1e-12, f"worst rise {worst:.2e} of J0")
     assert worst <= 1e-12

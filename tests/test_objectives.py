@@ -89,7 +89,9 @@ def test_residual_is_orthogonal_to_basis():
         x = rng.standard_normal((m, n))
         before = x.copy()
         q, _ = np.linalg.qr(rng.standard_normal((m, k)))
-        stats, t, _ = _basis_stats(x, q, L1)
+        t = q.T @ x
+        stats, power = _basis_stats(x, q, L1)
+        assert power is None
         np.testing.assert_allclose(stats.sq, (x * x).sum(axis=0) - (t * t).sum(axis=0), atol=1e-10)
         assert np.array_equal(x, before)
 
@@ -228,16 +230,18 @@ def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
     from the downdate, bit for bit ``_downdated_sq``'s.  Downdated (and
     recomputed in chunks of the same budgets when k = m), for l1 and l2p
     alike, they are within the sum of the downdate's and the whole
-    residual's error bounds.  T is W^T X bit for bit.
+    residual's error bounds.  Passed the caller's T = W^T X, the pass gives
+    the same sums bit for bit.
 
     Given the clamp, the pass's d is ``weights_from_stats`` of its stats
-    bit for bit, for pgd's V^T X = T and momentum's T + b (T - T_old).
-    On several l1 blocks its M V, each block adding its share, is within
-    ``_product_bound`` of X (d * V^T X)^T taken in one product.  When one
-    block holds every column, and for l2p, it leaves M V to
-    ``power_product``, whose product from the pass's V^T X and d is that
-    one bit for bit.  momentum's T is returned unchanged; pgd's buffer
-    holds V^T X, and T is not returned."""
+    bit for bit, for pgd's V^T X = T and for a given V^T X, formed as
+    momentum forms T + b (T - T_old).  On several l1 blocks its M V, each
+    block adding its share, is within ``_product_bound`` of
+    X (d * V^T X)^T taken in one product.  When one block holds every
+    column, and for l2p, it leaves M V to ``power_product``, whose product
+    from the pass's V^T X and d is that one bit for bit.  A given V^T X is
+    the buffer returned, and T is left unchanged; pgd's V^T X is T's own
+    buffer."""
     rng = np.random.default_rng(m * n)
     x = rng.standard_normal((m, n))
     w, _ = np.linalg.qr(rng.standard_normal((m, k)))
@@ -246,13 +250,13 @@ def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
     col_sq = (x * x).sum(axis=0)
     tol_abs = 1e-13 * np.abs(x).sum(axis=0)
     tol_sq = _downdate_bound(m, k, col_sq) + _direct_bound(m, k, col_sq, whole.sq)
+    t = w.T @ x
     monkeypatch.setattr(repca.objectives, "_BLOCK_MIN_COLS", 1)
     for width in (1, 3, 7, n - 1, n, n + 1):
         monkeypatch.setattr(repca.objectives, "_BLOCK_BYTES", 8 * m * width)
         for norm in (L1, NormSpec.l2p(0.5)):
-            stats, t, power = _basis_stats(x, w, norm)
+            stats, power = _basis_stats(x, w, norm)
             assert power is None
-            assert t.tobytes() == (w.T @ x).tobytes()
             if norm.kind == "l1" and width >= n:
                 assert stats.sq.tobytes() == whole.sq.tobytes()
             else:
@@ -264,11 +268,16 @@ def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
                     assert stats.abs.tobytes() == whole.abs.tobytes()
             else:
                 assert stats.abs is None
-            for b, vt in ((None, t), (0.25, t + 0.25 * (t - t_old))):
-                t_in = None if b is None else t_old.copy()
-                stats_p, t_p, (d, vt_p, mv) = _basis_stats(x, w, norm, clamp=EPS, b=b, t_old=t_in)
+            for given_vt in (None, t + 0.25 * (t - t_old)):
+                t_in = t.copy()
+                vt_in = None if given_vt is None else given_vt.copy()
+                vt = t if given_vt is None else given_vt
+                stats_p, (d, vt_p, mv) = _basis_stats(x, w, norm, t=t_in, clamp=EPS, vt=vt_in)
                 assert stats_p.sq.tobytes() == stats.sq.tobytes()
-                assert (t_p is None) if b is None else (t_p.tobytes() == t.tobytes())
+                assert stats_p.abs is None or stats_p.abs.tobytes() == stats.abs.tobytes()
+                assert vt_p is (t_in if given_vt is None else vt_in)
+                if given_vt is not None:
+                    assert t_in.tobytes() == t.tobytes()
                 assert d.tobytes() == weights_from_stats(stats_p, norm, EPS).tobytes()
                 ref = x @ (vt * d).T
                 if norm.kind == "l2p" or width >= n:

@@ -26,7 +26,7 @@ from repca import (
 )
 from repca.linalg import procrustes_project, top_r_eigvecs
 from repca.objectives import (DOWNDATE_RTOL, ColumnStats, _basis_stats, column_stats, objective_from_stats,
-                              weighted_scatter, weights_from_stats)
+                              power_product, weighted_scatter, weights_from_stats)
 from repca.solvers import (DROP_RTOL, POWER_SHIFT_RTOL, SPAN_RTOL, VARIANTS, _ritz_step, check_convergence,
                             count_monotone_violations, weight_clamp)
 
@@ -438,12 +438,13 @@ def test_ritz_step_stays_put_at_a_fixed_point(monkeypatch):
 
 def test_irls_guard_replays_from_the_building_blocks():
     """Each irls round keeps the eigen step unless it raises
-    sum_i d_i ||y_i||^2 at the round's weights d; then it takes the
-    shifted power step from W instead.  Rebuilt from the building blocks,
-    the iterates equal ``fit``'s byte for byte, and ``guarded_steps``
-    counts the power steps.  From this random start at l2p(0.5) the
-    weights span about 6e15 by the last round, whose eigen step raises
-    that sum by about 6e-9 of it."""
+    sum_i d_i ||y_i||^2 at the round's weights d; then it takes pgd's
+    Rayleigh-Ritz step from W instead, M W from ``power_product`` scaled
+    by 1 / tr(M), and its stats pass takes the step's T' for W'^T X.
+    Rebuilt from the building blocks, the iterates equal ``fit``'s byte
+    for byte, and ``guarded_steps`` counts the Rayleigh-Ritz steps.  From
+    this random start at l2p(0.5) the weights span about 6e15 by the last
+    round, whose eigen step raises that sum by about 6e-9 of it."""
     data, _ = _instance(0, m=10, n=200, k=2, frac=0.1, scale=5.0)
     norm = NormSpec.l2p(0.5)
     seen = []
@@ -453,14 +454,17 @@ def test_irls_guard_replays_from_the_building_blocks():
     col_sq = np.einsum("ij,ij->j", x, x)
     clamp = weight_clamp(np.sqrt(col_sq.sum()), data.n_samples)
     guarded = 0
+    stats = _basis_stats(x, seen[0], norm, col_sq=col_sq)[0]
     for w, w_next in zip(seen, seen[1:]):
-        stats = _basis_stats(x, w, norm, col_sq=col_sq)[0]
         d = weights_from_stats(stats, norm, clamp)
         step = top_r_eigvecs(weighted_scatter(data, d), 2)[0]
-        if d @ _basis_stats(x, step, norm, col_sq=col_sq)[0].sq > d @ stats.sq:
+        step_stats = _basis_stats(x, step, norm, col_sq=col_sq)[0]
+        if d @ step_stats.sq > d @ stats.sq:
             guarded += 1
-            step = procrustes_project(x @ ((w.T @ x) * d).T + POWER_SHIFT_RTOL * float(d @ col_sq) * w)
+            step, t_step = _ritz_step(x, w, power_product(x, w.T @ x, d) / float(d @ col_sq), d)
+            step_stats = _basis_stats(x, step, norm, col_sq=col_sq, t=t_step)[0]
         np.testing.assert_array_equal(step, w_next)
+        stats = step_stats
     assert guarded == out.guarded_steps >= 1
 
 
@@ -849,6 +853,24 @@ def test_irls_converges_on_wide_data():
     assert pgd.converged and pgd.guarded_steps == 0
     out = fit(data, 3, norm, SolverConfig(variant="irls", max_iter=100))
     assert out.converged and out.guarded_steps >= 1 and out.monotone_violations == 0
+
+
+def test_shifted_power_step_is_momentums_alone(monkeypatch):
+    """From the vanilla start only momentum's step takes a polar factor:
+    pgd and irls, whose guard trips on this problem, never call
+    ``procrustes_project``."""
+    data, _ = _instance(0, m=600, n=120, k=3, frac=0.1, scale=5.0)
+
+    def refuse(matrix):
+        raise AssertionError("procrustes_project called")
+
+    monkeypatch.setattr(repca.solvers, "procrustes_project", refuse)
+    norm = NormSpec.l2p(0.5)
+    assert fit(data, 3, norm, SolverConfig(variant="pgd")).converged
+    out = fit(data, 3, norm, SolverConfig(variant="irls", max_iter=100))
+    assert out.converged and out.guarded_steps >= 1
+    with pytest.raises(AssertionError, match="procrustes_project called"):
+        fit(data, 3, norm, SolverConfig(variant="momentum", max_iter=1))
 
 
 def test_pgd_converges_on_wide_data():

@@ -41,11 +41,14 @@ fit_and_rerun long-momentum --input long/data.csv --k 3 --solver momentum
 # l2p, whose residual norms are downdated, on the multi-block long data (pgd) and the wide data (irls).
 fit_and_rerun long-l2p --input long/data.csv --k 3 --norm l2p --p 0.5 --solver pgd
 fit_and_rerun wide-l2p --input wide/data.csv --k 3 --norm l2p --p 0.5 --solver irls
-# These must converge: irls's guarded step keeps wide-l2p from running all
-# 500 rounds, pgd's Rayleigh-Ritz step keeps wide-fit from crawling on
-# m >> n data, and long-pgd and long-momentum are the l1 fits on
+# These must converge: wide-fit and wide-l2p on m >> n data, where
+# pgd's Rayleigh-Ritz step keeps wide-fit from crawling and irls's guard,
+# which takes that step when the eigen step would rise, keeps wide-l2p from
+# running all 500 rounds; and long-pgd and long-momentum, the l1 fits on
 # multi-block data, whose M V each residual block adds to in turn.
 for name in wide-fit wide-l2p long-pgd long-momentum; do
   python -c "import json, sys; sys.exit(0 if json.load(open('$name/trace.json'))['converged'] else '$name did not converge')"
 done
+# wide-l2p's guard must trip, so the fit and its rerun above cover the guarded step.
+python -c "import json, sys; sys.exit(0 if json.load(open('wide-l2p/trace.json'))['guarded_steps'] >= 1 else 'wide-l2p took no guarded step')"
 echo "console script end to end: ok ($work)"
