@@ -1,8 +1,10 @@
 """Dense linear-algebra primitives shared by every solver.
 
-Everything here is pure and deterministic: eigenvector signs follow a
-fixed convention and spectra come from LAPACK's symmetric eigensolvers, so
-repeated runs of the same build produce identical bits.
+Everything here is pure and deterministic: spectra and eigenvectors come
+from LAPACK's symmetric eigensolvers, so repeated runs of the same build
+produce identical bits.  ``_fix_column_signs`` holds the sign convention;
+``fit`` applies it where a basis enters or leaves its rounds, and
+``top_r_eigvecs`` does not (the ``solvers`` docstring says why).
 
 The types (``DataMatrix``, ``Projection``, ``SymmetricMatrix``) copy their
 input arrays, in C (row-major) order, check them and freeze them on
@@ -215,23 +217,25 @@ def procrustes_project(candidate: np.ndarray) -> np.ndarray:
 
 def _fix_column_signs(vecs: np.ndarray) -> np.ndarray:
     # Convention: the first entry of each column that clears the noise
-    # threshold is made nonnegative.  The copy is C-ordered, as every other
-    # basis the loop holds is, so BLAS sees one layout whichever step ran.
-    big = np.abs(vecs) > _SIGN_TOL
-    lead = vecs[big.argmax(axis=0), np.arange(vecs.shape[1])]
-    flip = big.any(axis=0) & (lead < 0)
-    return np.ascontiguousarray(np.where(flip, -vecs, vecs))
+    # threshold is made nonnegative.  A column with no such entry has its
+    # first entry, at most _SIGN_TOL in magnitude, as ``lead``, and is kept.
+    # Scaling by -1.0 or 1.0 is exact; the copy is C-ordered.
+    lead = vecs[(np.abs(vecs) > _SIGN_TOL).argmax(axis=0), np.arange(vecs.shape[1])]
+    return np.multiply(vecs, np.where(lead < -_SIGN_TOL, -1.0, 1.0), order="C")
 
 
 def top_r_eigvecs(matrix: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
     """Eigenvectors of the symmetric ``matrix`` for its r largest
-    eigenvalues, as an m-by-r array with orthonormal columns, and whether
-    the eigengap at the cut is closed.
+    eigenvalues, as a C-ordered m-by-r array with orthonormal columns, and
+    whether the eigengap at the cut is closed.
 
-    Columns are ordered by descending eigenvalue and sign-fixed so the
-    result is deterministic.  Only the lower triangle is read, so the
-    caller supplies a symmetric matrix.  The gap counts as closed when it
-    is at or below 1e-10 * |largest eigenvalue|: the subspace is then
+    Columns are ordered by descending eigenvalue, each in the sign LAPACK
+    gives it: deterministic for one build, but no convention.  An irls
+    round reads its eigenvectors only through W^T X and W (W^T X), whose
+    bits no column's sign changes, so ``fit`` applies ``_fix_column_signs``
+    only where a basis is handed out.  Only the lower triangle is read, so
+    the caller supplies a symmetric matrix.  The gap counts as closed when
+    it is at or below 1e-10 * |largest eigenvalue|: the subspace is then
     numerically arbitrary.
     """
     a = _square(matrix)
@@ -239,9 +243,9 @@ def top_r_eigvecs(matrix: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
     if not 1 <= r <= m:
         raise DimensionMismatch(f"r must be in [1, {m}], got {r}")
     vals, vecs = np.linalg.eigh(a)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    gap_closed = r < m and bool(vals[r - 1] - vals[r] <= SPECTRUM_GAP_RTOL * abs(vals[0]))
-    return _fix_column_signs(vecs[:, :r]), gap_closed
+    vals = vals.tolist()  # ascending; Python floats round as numpy's do
+    gap_closed = r < m and vals[m - r] - vals[m - r - 1] <= SPECTRUM_GAP_RTOL * abs(vals[-1])
+    return vecs[:, ::-1][:, :r].copy(), gap_closed
 
 
 def spectral_norm(matrix: np.ndarray) -> float:

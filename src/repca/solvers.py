@@ -83,6 +83,15 @@ clamp squared stays a normal double; below an RMS column norm of about
 vanilla start and irls steps, and touches no process-wide warnings state;
 only ``vanilla_pca``, called on its own, warns.
 
+Column signs are a choice about output: the loss and the weights depend
+on span(W) alone.  An irls round reads its basis only through T = W^T X
+and W T; negating a column negates a row of T and leaves W T, and with it
+every sum, weight and guard comparison, unchanged to the bit.  So irls
+rounds take eigenvectors in LAPACK's signs, and ``fit`` applies
+``linalg._fix_column_signs`` in two places: to the vanilla start, which
+pgd's and momentum's steps read directly, and to each basis it hands
+out, the result and each callback basis, whichever step made it.
+
 Convergence is declared when the relative objective change drops to
 ``tol``, or, before any step, when the residual is rounding noise
 (||R||_F <= 1e-12 ||X||_F): the basis then spans the data (k = m, rank at
@@ -100,7 +109,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidSpec, SpectrumGapWarning, require_int, require_real
-from .linalg import DataMatrix, Projection, procrustes_project, top_r_eigvecs
+from .linalg import DataMatrix, Projection, _fix_column_signs, procrustes_project, top_r_eigvecs
 from .linalg import spectral_norm  # noqa: F401  (benchmarks/tracing.py wraps this name)
 from .objectives import (
     ColumnStats,
@@ -225,7 +234,8 @@ def _check_fit_args(data: DataMatrix, k: int, norm: NormSpec, config: SolverConf
 
 def _initial_basis(data: DataMatrix, k: int, config: SolverConfig) -> tuple[np.ndarray, bool]:
     if config.init == "vanilla":
-        return top_r_eigvecs(data.values @ data.values.T, k)
+        w, gap_closed = top_r_eigvecs(data.values @ data.values.T, k)
+        return _fix_column_signs(w), gap_closed
     rng = np.random.default_rng([config.seed, _RANDOM_START_STREAM])
     return procrustes_project(rng.standard_normal((data.n_features, k))), False
 
@@ -278,7 +288,9 @@ def fit(
     and irls rounds whose guard took pgd's step in ``guarded_steps``.
 
     ``callback(it, basis, objective)`` sees the start (it = 0) and every
-    iterate after it.
+    iterate after it.  In every basis handed out, the result's and the
+    callback's, each column's first entry above 1e-12 in magnitude is
+    nonnegative (module docstring).
     """
     config = _check_fit_args(data, k, norm, config)
     start = time.perf_counter()
@@ -306,7 +318,7 @@ def fit(
     stats, power = _basis_stats(x, w, norm, col_sq, t=t, clamp=power_clamp, vt=vt)
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
-        basis = Projection(w)
+        basis = Projection(_fix_column_signs(w))
         callback(0, basis, trace[0])
     converged = norm.kind == "fro"  # the vanilla start is its minimizer
     while not converged and len(trace) <= config.max_iter:  # the start, then a round each
@@ -347,11 +359,11 @@ def fit(
             vt = None  # irls keeps no T into its next round
         trace.append(objective_from_stats(stats, norm))
         if callback is not None:
-            basis = Projection(w)
+            basis = Projection(_fix_column_signs(w))
             callback(len(trace) - 1, basis, trace[-1])
         converged = check_convergence(trace, config.tol)
     if callback is None:
-        basis = Projection(w)
+        basis = Projection(_fix_column_signs(w))
     return FitResult(
         projection=basis,
         objective_trace=trace,

@@ -202,9 +202,23 @@ def test_procrustes_rejects_rank_deficiency():
 def test_top_r_eigvecs_on_diagonal_matrix():
     got, _ = top_r_eigvecs(np.diag([5.0, 3.0, 1.0]), 2)
     np.testing.assert_allclose(np.abs(got), np.eye(3)[:, :2], atol=1e-12)
-    # sign convention: leading significant entry is nonnegative
-    assert got[0, 0] > 0
-    assert got[1, 1] > 0
+
+
+def test_top_r_eigvecs_are_lapacks_columns_in_descending_order():
+    """The top r columns of ``eigh``, largest eigenvalue first, in the signs
+    LAPACK gave them, as a C-ordered copy; the sign convention is left to
+    ``_fix_column_signs``, which makes each leading entry nonnegative."""
+    rng = np.random.default_rng(7)
+    for m in range(1, 9):
+        a = rng.standard_normal((m, m))
+        mat = a + a.T
+        for r in range(1, m + 1):
+            got, _ = top_r_eigvecs(mat, r)
+            assert got.flags.c_contiguous and got.flags.owndata
+            assert got.tobytes() == np.ascontiguousarray(np.linalg.eigh(mat)[1][:, ::-1][:, :r]).tobytes()
+    signed = _fix_column_signs(top_r_eigvecs(np.diag([5.0, 3.0, 1.0]), 2)[0])
+    assert signed[0, 0] > 0
+    assert signed[1, 1] > 0
 
 
 def test_top_r_eigvecs_satisfies_eigen_equation():

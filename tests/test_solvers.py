@@ -24,11 +24,11 @@ from repca import (
     synth_subspace,
     vanilla_pca,
 )
-from repca.linalg import procrustes_project, top_r_eigvecs
+from repca.linalg import _SIGN_TOL, _fix_column_signs, procrustes_project, top_r_eigvecs
 from repca.objectives import (DOWNDATE_RTOL, ColumnStats, _basis_stats, column_stats, objective_from_stats,
                               power_product, weighted_scatter, weights_from_stats)
-from repca.solvers import (DROP_RTOL, POWER_SHIFT_RTOL, SPAN_RTOL, VARIANTS, _ritz_step, check_convergence,
-                            count_monotone_violations, weight_clamp)
+from repca.solvers import (_RANDOM_START_STREAM, DROP_RTOL, POWER_SHIFT_RTOL, SPAN_RTOL, VARIANTS, _ritz_step,
+                            check_convergence, count_monotone_violations, weight_clamp)
 
 
 def _instance(seed, m=12, n=90, k=3, noise=0.1, frac=0.0, scale=1.0):
@@ -114,7 +114,7 @@ def test_fit_fro_is_the_closed_form(variant, init):
     calls = []
     out = fit(data, 2, NormSpec.fro(), SolverConfig(variant=variant, init=init, seed=3),
               callback=lambda it, basis, obj: calls.append((it, basis, obj)))
-    want = Projection(top_r_eigvecs(data.values @ data.values.T, 2)[0])
+    want = Projection(_fix_column_signs(top_r_eigvecs(data.values @ data.values.T, 2)[0]))
     assert out.projection.values.tobytes() == want.values.tobytes()
     assert out.objective_trace.tolist() == [objective_value(data, want, NormSpec.fro())]
     assert (out.iterations, out.converged, out.monotone_violations, out.spectrum_gap_events) \
@@ -295,13 +295,15 @@ def test_fit_replays_from_the_building_blocks(variant, norm):
     its extrapolated V = W + b (W - W_old), with V^T X taken as
     T + b (T - T_old) from T = W^T X and T_old = W_old^T X.  Round 3 is the
     first whose momentum coefficient b = 1/4 is nonzero; in round 1 the
-    extrapolation vanishes (W_old = W_0)."""
+    extrapolation vanishes (W_old = W_0).  The start is sign-fixed, irls's
+    eigen steps keep LAPACK's signs, and the basis handed out is the last
+    iterate sign-fixed."""
     data, _ = _instance(0, m=10, n=200, k=2, frac=0.1, scale=5.0)
     config = SolverConfig(variant=variant, max_iter=4, tol=0.0)
     x = data.values
     col_sq = np.einsum("ij,ij->j", x, x)
     clamp = weight_clamp(np.sqrt(col_sq.sum()), data.n_samples)
-    w = w_old = top_r_eigvecs(x @ x.T, 2)[0]
+    w = w_old = _fix_column_signs(top_r_eigvecs(x @ x.T, 2)[0])
     t = w.T @ x
 
     def stats_at(w, t):
@@ -339,7 +341,7 @@ def test_fit_replays_from_the_building_blocks(variant, norm):
         trace.append(objective_from_stats(stats, norm))
     out = fit(data, 2, norm, config)
     assert out.iterations == 4
-    np.testing.assert_array_equal(out.projection.values, w)
+    assert out.projection.values.tobytes() == _fix_column_signs(w).tobytes()
     np.testing.assert_array_equal(out.objective_trace, trace)
 
 
@@ -350,7 +352,7 @@ def _power_fit_with_one_gemm(data, k, norm, variant):
     x = data.values
     col_sq = np.einsum("ij,ij->j", x, x)
     clamp = weight_clamp(np.sqrt(col_sq.sum()), data.n_samples)
-    w = w_old = top_r_eigvecs(x @ x.T, k)[0]
+    w = w_old = _fix_column_signs(top_r_eigvecs(x @ x.T, k)[0])
     stats = _basis_stats(x, w, norm, col_sq=col_sq)[0]
     trace = [objective_from_stats(stats, norm)]
     while len(trace) <= SolverConfig().max_iter and not check_convergence(trace, SolverConfig().tol):
@@ -442,7 +444,9 @@ def test_irls_guard_replays_from_the_building_blocks():
     Rayleigh-Ritz step from W instead, M W from ``power_product`` scaled
     by 1 / tr(M), and its stats pass takes the step's T' for W'^T X.
     Rebuilt from the building blocks, the iterates equal ``fit``'s byte
-    for byte, and ``guarded_steps`` counts the Rayleigh-Ritz steps.  From
+    for byte, and ``guarded_steps`` counts the Rayleigh-Ritz steps.  The
+    replay steps from the loop's own bases, the random start and the eigen
+    steps in LAPACK's signs; the callback sees each one sign-fixed.  From
     this random start at l2p(0.5) the weights span about 6e15 by the last
     round, whose eigen step raises that sum by about 6e-9 of it."""
     data, _ = _instance(0, m=10, n=200, k=2, frac=0.1, scale=5.0)
@@ -454,8 +458,10 @@ def test_irls_guard_replays_from_the_building_blocks():
     col_sq = np.einsum("ij,ij->j", x, x)
     clamp = weight_clamp(np.sqrt(col_sq.sum()), data.n_samples)
     guarded = 0
-    stats = _basis_stats(x, seen[0], norm, col_sq=col_sq)[0]
-    for w, w_next in zip(seen, seen[1:]):
+    w = procrustes_project(np.random.default_rng([3, _RANDOM_START_STREAM]).standard_normal((10, 2)))
+    stats = _basis_stats(x, w, norm, col_sq=col_sq)[0]
+    assert _fix_column_signs(w).tobytes() == seen[0].tobytes()
+    for handed_out in seen[1:]:
         d = weights_from_stats(stats, norm, clamp)
         step = top_r_eigvecs(weighted_scatter(data, d), 2)[0]
         step_stats = _basis_stats(x, step, norm, col_sq=col_sq)[0]
@@ -463,9 +469,72 @@ def test_irls_guard_replays_from_the_building_blocks():
             guarded += 1
             step, t_step = _ritz_step(x, w, power_product(x, w.T @ x, d) / float(d @ col_sq), d)
             step_stats = _basis_stats(x, step, norm, col_sq=col_sq, t=t_step)[0]
-        np.testing.assert_array_equal(step, w_next)
-        stats = step_stats
+        w, stats = step, step_stats
+        assert _fix_column_signs(w).tobytes() == handed_out.tobytes()
     assert guarded == out.guarded_steps >= 1
+
+
+def test_irls_hands_out_its_last_eigen_step_sign_fixed():
+    """An unguarded irls fit returns the last eigen step, taken in LAPACK's
+    signs, with the sign convention applied once, byte for byte.  The
+    round's weights come from the callback's sign-fixed basis: T = W^T X
+    and W T only change sign with a column, so the weights keep their bits.
+    On this problem LAPACK's last step has a column the convention flips."""
+    data, _ = _instance(0, m=10, n=200, k=2, frac=0.1, scale=5.0)
+    norm = NormSpec.l1()
+    seen = []
+    out = fit(data, 2, norm, SolverConfig(variant="irls"), callback=lambda it, basis, obj: seen.append(basis.values))
+    assert out.converged and out.guarded_steps == 0
+    x = data.values
+    col_sq = np.einsum("ij,ij->j", x, x)
+    d = weights_from_stats(_basis_stats(x, seen[-2], norm, col_sq=col_sq)[0], norm,
+                           weight_clamp(np.sqrt(col_sq.sum()), data.n_samples))
+    step = top_r_eigvecs(weighted_scatter(data, d), 2)[0]
+    assert out.projection.values.tobytes() == _fix_column_signs(step).tobytes()
+    assert not np.array_equal(step, out.projection.values)
+
+
+def _leading_entries(w):
+    """The first entry of each column of ``w`` above _SIGN_TOL in magnitude."""
+    big = np.abs(w) > _SIGN_TOL
+    return w[big.argmax(axis=0), np.arange(w.shape[1])][big.any(axis=0)]
+
+
+@pytest.mark.parametrize("init", ("vanilla", "random"))
+@pytest.mark.parametrize("norm", (NormSpec.l1(), NormSpec.l2p(0.5)), ids=("l1", "l2p0.5"))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_basis_fit_hands_out_follows_the_sign_convention(monkeypatch, variant, norm, init):
+    """``FitResult.projection`` and every callback basis have the first
+    entry of each column above _SIGN_TOL nonnegative, whichever step made
+    the basis.  The steps leave signs to their SVD and eigensolver: over
+    these data seeds some of the loop's iterates break the convention
+    until ``fit`` applies it."""
+    flipped = []
+
+    def fix(w):
+        flipped.append((_leading_entries(w) < 0.0).any())
+        return _fix_column_signs(w)
+
+    monkeypatch.setattr(repca.solvers, "_fix_column_signs", fix)
+    for seed in range(4):
+        data, _ = _instance(seed, m=10, n=200, k=2, frac=0.1, scale=5.0)
+        seen = []
+        out = fit(data, 2, norm, SolverConfig(variant=variant, init=init, seed=3),
+                  callback=lambda it, basis, obj: seen.append(basis.values))
+        assert seen[-1] is out.projection.values
+        for w in seen:
+            assert (_leading_entries(w) >= 0.0).all(), (seed, variant)
+        # the result without a callback is the same basis
+        assert fit(data, 2, norm, SolverConfig(variant=variant, init=init, seed=3)).projection.values.tobytes() \
+            == out.projection.values.tobytes()
+    assert any(flipped)
+
+
+def test_fro_and_vanilla_pca_follow_the_sign_convention():
+    for seed in range(4):
+        data, _ = _instance(seed, m=10, n=200, k=3, frac=0.1, scale=5.0)
+        for basis in (fit(data, 3, NormSpec.fro()).projection, vanilla_pca(data, 3)):
+            assert (_leading_entries(basis.values) >= 0.0).all(), seed
 
 
 def test_pgd_forms_no_scatter_and_no_spectrum(monkeypatch):

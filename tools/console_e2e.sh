@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Run the installed `repca` console script end to end: synth, fit and rerun
 # on three data shapes, and check that each rerun writes the same basis and
-# the same manifest byte for byte.
+# the same manifest byte for byte, and that every basis written follows the
+# sign convention.
 #
 # usage: tools/console_e2e.sh [workdir]
 #
@@ -51,4 +52,17 @@ for name in wide-fit wide-l2p long-pgd long-momentum; do
 done
 # wide-l2p's guard must trip, so the fit and its rerun above cover the guarded step.
 python -c "import json, sys; sys.exit(0 if json.load(open('wide-l2p/trace.json'))['guarded_steps'] >= 1 else 'wide-l2p took no guarded step')"
+# Every basis written, whichever step made it, follows the sign convention:
+# the first entry of each column above _SIGN_TOL in magnitude is nonnegative.
+python - */w.csv <<'EOF'
+import sys
+import numpy as np
+from repca.linalg import _SIGN_TOL
+for path in sys.argv[1:]:
+    w = np.loadtxt(path, delimiter=",", ndmin=2)
+    big = np.abs(w) > _SIGN_TOL
+    if (w[big.argmax(axis=0), np.arange(w.shape[1])][big.any(axis=0)] < 0).any():
+        sys.exit(f"{path} breaks the sign convention")
+print(f"sign convention: {len(sys.argv) - 1} bases")
+EOF
 echo "console script end to end: ok ($work)"
