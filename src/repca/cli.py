@@ -1,25 +1,13 @@
 """Command-line interface: synth, fit, bench, rerun.
 
 Each command turns its flags into one frozen job (``SynthJob``, ``FitJob``
-or ``BenchJob``) and hands it to that command's runner.  A job holds the
-library's own spec objects (``SynthSpec``, ``NormSpec``, ``SolverConfig``),
-whose constructors check every value; ``BenchJob.__post_init__`` checks
-the few rules that span several flags, and ``fit`` checks k against the
-loaded data before it computes anything.
-
-Every command writes a ``manifest.json`` whose ``config`` is the job as
-nested JSON (``dataclasses.asdict``: ``spec``, ``norm``/``norms`` and
-``solver`` are objects of their own).  ``repca rerun --manifest <path>``
-rebuilds the same job from it, checking each value's JSON type against the
-field's annotation, so a rerun passes the same constructors and the same
-checks as the command did.  Given the manifest, numeric outputs repeat
-bit for bit on the same numpy, BLAS build and BLAS thread count, which the
-manifest records beside ``config``; only the wall times vary between runs.
-
-Exit codes, mapped once in ``main``: 0 on success; 2 for ``InvalidSpec`` (a
-flag, setting or manifest that fails validation) and ``DimensionMismatch`` (a
-k the data cannot take); 1 for any other ``OSError``, ``ValueError``,
-``RuntimeError`` or ``MemoryError``, such as a file that fails to load.
+or ``BenchJob``) of the library's own spec objects, whose constructors
+check every value; ``BenchJob.__post_init__`` checks the rules that span
+several flags, and ``fit`` checks k against the loaded data.  The
+manifest's ``config`` is the job as nested JSON (``dataclasses.asdict``),
+and ``rerun`` rebuilds the job from it through ``_from_json``, so a rerun
+passes the same constructors and checks as the command did.  ``main`` maps
+the library's exceptions to exit codes, once.
 """
 from __future__ import annotations
 

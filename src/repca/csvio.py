@@ -7,10 +7,8 @@ line, one component per column).
 
 Files are ASCII.  Reading hands the whole file to numpy's C text reader;
 a file it refuses, or in which it finds no rows, is read again line by
-line with Python's ``float``.  That reader either parses the inputs numpy
-refuses but ``float`` takes (whitespace-only lines, ``_``-grouped digits)
-or names the offending 1-based line.  Where both readers accept a file
-they return the same doubles bit for bit.
+line with Python's ``float``, which parses what only ``float`` takes or
+names the offending 1-based line.  Both give the same doubles.
 """
 from __future__ import annotations
 

@@ -5,14 +5,8 @@ the last floor(outlier_frac * n) columns are replaced by outlier_scale
 times a standard normal vector.  The returned matrix is centered.  All
 draws come from one seeded generator in a fixed order (basis, then
 coefficients, then noise, then outliers), so a seed pins the output
-bit for bit.
-
-Memory: ``synth_subspace`` holds at most two m-by-n float arrays at once,
-plus an m-by-n boolean for a finiteness scan.  The noise is scaled in
-place and added into W_true C, the outliers overwrite their columns, and
-the draw is centered in place before its one ``DataMatrix`` copy.  A
-scale so large that the data or their row sums overflow raises one
-ValueError naming ``noise_sigma`` or ``outlier_scale``.
+bit for bit.  The draw is built and centered in place before its one
+``DataMatrix`` copy, so at most two m-by-n float arrays are alive.
 """
 from __future__ import annotations
 

@@ -1,30 +1,12 @@
 """Dense linear-algebra primitives shared by every solver.
 
-Everything here is pure and deterministic: spectra and eigenvectors come
-from LAPACK's symmetric eigensolvers, so repeated runs of the same build
-produce identical bits.  ``_fix_column_signs`` holds the sign convention;
-``fit`` applies it where a basis enters or leaves its rounds, and
-``top_r_eigvecs`` does not (the ``solvers`` docstring says why).
-
 The types (``DataMatrix``, ``Projection``, ``SymmetricMatrix``) copy their
-input arrays, in C (row-major) order, check them and freeze them on
-construction: holding one is proof of its invariant.  The helpers the
-solver loop calls every round (``procrustes_project``, ``top_r_eigvecs``)
-take and return plain ndarrays instead.  They keep the checks that can
-fail on a solver's intermediates (shape, rank, a cut out of range,
-non-finite entries) and skip the copy, the symmetry norm and the
-orthonormality check, which the caller vouches for: the loop hands
-``top_r_eigvecs`` syrk products, exactly symmetric, and wraps its basis in a
-``Projection`` where it leaves the loop.  None warns: ``top_r_eigvecs``
-returns a closed eigengap at its cut as a flag, for the caller to count
-or warn about.
-
-Memory at the door: building a ``DataMatrix`` allocates its m-by-n copy
-plus an m-by-n boolean for the finiteness scan, and the centered check
-reduces that copy in place rather than through an |X| temporary.
-``center_columns`` writes the centered values into one fresh array and
-hands it to ``DataMatrix``, so it peaks at two m-by-n float arrays plus
-that boolean.
+input in C order, check it and freeze it: holding one is proof of its
+invariant.  The helpers the solver loop calls every round
+(``procrustes_project``, ``top_r_eigvecs``) take and return plain ndarrays:
+they keep the checks that can fail on a solver's intermediates (shape,
+rank, the cut, non-finite entries), skip those the caller vouches for
+(symmetry, orthonormality), and warn about nothing.
 """
 from __future__ import annotations
 
@@ -64,7 +46,9 @@ class DataMatrix:
 
     ``centered`` records whether each feature row sums to zero.  The array is
     copied and marked read-only on construction, so instances are safe to
-    share between threads.
+    share between threads.  Construction holds the copy plus an m-by-n
+    boolean for the finiteness scan; the centered check reduces the copy in
+    place rather than through an |X| temporary.
     """
 
     values: np.ndarray
@@ -132,10 +116,7 @@ class Projection:
 class SymmetricMatrix:
     """Square symmetric matrix.  The input must already be symmetric to
     within 1e-12 relative Frobenius error; the stored copy is symmetrized
-    exactly so downstream eigendecompositions see clean input.
-
-    No solver builds one: ``fit`` hands its exactly symmetric syrk
-    products to ``top_r_eigvecs`` as plain arrays."""
+    exactly.  No solver builds one."""
 
     values: np.ndarray
 
@@ -176,7 +157,8 @@ def center_columns(data: DataMatrix) -> tuple[DataMatrix, np.ndarray]:
 
     Returns the centered matrix and the mean vector that was removed.
     Already-centered input is returned unchanged with a zero mean, which
-    makes the operation exactly idempotent.
+    makes the operation exactly idempotent.  The centered values are
+    written once, into the array ``DataMatrix`` then copies.
     """
     if data.centered:
         return data, np.zeros(data.n_features)
@@ -196,10 +178,9 @@ def _square(matrix) -> np.ndarray:
 def procrustes_project(candidate: np.ndarray) -> np.ndarray:
     """Nearest orthonormal matrix to ``candidate``: U V^T from its thin SVD.
 
-    Among all orthonormal W this maximizes tr(W^T R), which is the
-    retraction step every solver uses.  Raises RankDeficient when the
-    smallest singular value is at or below 1e-12 times the largest.
-    Returns the array; wrap it in ``Projection`` to hold the proof.
+    Among all orthonormal W this maximizes tr(W^T R): momentum's
+    retraction.  Raises RankDeficient when the smallest singular value is
+    at or below RANK_RTOL times the largest.
     """
     arr = np.asarray(candidate, dtype=float)
     if arr.ndim != 2:
@@ -216,10 +197,8 @@ def procrustes_project(candidate: np.ndarray) -> np.ndarray:
 
 
 def _fix_column_signs(vecs: np.ndarray) -> np.ndarray:
-    # Convention: the first entry of each column that clears the noise
-    # threshold is made nonnegative.  A column with no such entry has its
-    # first entry, at most _SIGN_TOL in magnitude, as ``lead``, and is kept.
-    # Scaling by -1.0 or 1.0 is exact; the copy is C-ordered.
+    # The first entry of each column above _SIGN_TOL is made nonnegative; a
+    # column with none is kept.  Scaling by -1.0 or 1.0 is exact.
     lead = vecs[(np.abs(vecs) > _SIGN_TOL).argmax(axis=0), np.arange(vecs.shape[1])]
     return np.multiply(vecs, np.where(lead < -_SIGN_TOL, -1.0, 1.0), order="C")
 
@@ -230,12 +209,9 @@ def top_r_eigvecs(matrix: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
     whether the eigengap at the cut is closed.
 
     Columns are ordered by descending eigenvalue, each in the sign LAPACK
-    gives it: deterministic for one build, but no convention.  An irls
-    round reads its eigenvectors only through W^T X and W (W^T X), whose
-    bits no column's sign changes, so ``fit`` applies ``_fix_column_signs``
-    only where a basis is handed out.  Only the lower triangle is read, so
-    the caller supplies a symmetric matrix.  The gap counts as closed when
-    it is at or below 1e-10 * |largest eigenvalue|: the subspace is then
+    gives it (the ``solvers`` docstring says why no convention).  Only the
+    lower triangle is read.  The gap counts as closed when it is at or
+    below SPECTRUM_GAP_RTOL |largest eigenvalue|: the subspace is then
     numerically arbitrary.
     """
     a = _square(matrix)
@@ -249,12 +225,8 @@ def top_r_eigvecs(matrix: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest absolute eigenvalue of the symmetric ``matrix``: the larger
-    of the top eigenvalue and minus the bottom one, from one LAPACK
-    eigenvalue call.  A zero matrix, of +0.0 or -0.0 entries, gives 0.0.
-
-    No solver calls it; the benchmark's tracer still patches the name.
-    """
+    """Largest absolute eigenvalue of the symmetric ``matrix``, from one
+    LAPACK eigenvalue call; a zero matrix gives 0.0.  No solver calls it."""
     vals = np.linalg.eigvalsh(_square(matrix))
     # The larger one is never below zero; abs only clears the sign of -0.0.
     return float(abs(max(vals[-1], -vals[0])))

@@ -16,10 +16,9 @@ def principal_angles(basis_a: Projection, basis_b: Projection) -> np.ndarray:
 
     The cosines are the singular values of W_a^T W_b and the sines those of
     W_b - W_a (W_a^T W_b), the part of W_b outside span(W_a); each angle is
-    arctan2(sin, cos), which keeps full relative accuracy at both ends,
-    where arccos or arcsin alone would lose half the digits (Bjorck & Golub,
-    Math. Comp. 1973).  The cosines come out descending and the sines,
-    reversed, ascending, so they pair up angle by angle and the angles ascend.
+    arctan2(sin, cos), accurate at both ends, where arccos or arcsin alone
+    would lose half the digits (Bjorck & Golub, Math. Comp. 1973).  The
+    sines, reversed, pair up with the descending cosines angle by angle.
     """
     if basis_a.m != basis_b.m:
         raise DimensionMismatch(

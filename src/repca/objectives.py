@@ -1,67 +1,10 @@
 """Reconstruction losses and reweighting diagonals.
 
-All three losses measure the same residual Y = X - W W^T X.  The robust
-ones (elementwise l1, columnwise l2,p) are handled by reweighting: a
-nonnegative per-sample diagonal d turns the loss into the weighted
-quadratic tr(Y diag(d) Y^T), which the pgd and irls steps never raise.
-``objective_value`` always reports the true, unclamped loss; the
-clamp c on residual column norms, which ``solvers.fit`` sets from the
-data's scale, only guards the weight denominators.  For l2p the clamped
-weights are, up to a factor 2 that moves no step, the MM weights of the
-loss Huberized at c: h(t) = t^p for t >= c, (p/2) c^(p-2) t^2 +
-(1 - p/2) c^p below.  Each round's weighted quadratic lies above the sum
-of h, so a step that never raises the quadratic never raises that sum;
-the true loss can rise once a column falls below c.  The l1 weights
-give no such bound.
-
-Every loss and every weight diagonal is computed from the residual's
-per-column sums, ``column_stats``: the sums of squares and, for l1, the
-sums of |Y|, and only from those.  There is one formula per loss, shared
-by the objective, the weights and the solvers; ``metrics.evaluate``
-scores through ``objective_value``.  For a basis W, ``_basis_stats``
-takes T = W^T X in one product, unless the caller hands it T (pgd's
-Rayleigh-Ritz step forms it), and it alone forms those sums.  Given the
-clamp it also takes a step's weights d and M V = X (d * V^T X)^T,
-M = X diag(d) X^T, at V^T X = T or at the caller's V^T X.
-
-Its squared norms come from a downdate, except for l1 on data whose
-residual is one block (below), and for fro and l2p it forms no residual.
-Since W is orthonormal, ||x_i - W t_i||^2 = ||x_i||^2 - ||t_i||^2: it
-downdates ||x_i||^2, which a fit takes once (``objective_value`` leaves
-it to the downdate), by the column sums of T^2.
-A column whose downdate is not above DOWNDATE_RTOL ||x_i||^2 has
-cancelled (it lies in or near span(W), or is zero) and is recomputed
-from its own residual, as LAPACK's xLAQP2 does for the column norms of
-pivoted QR (Drmac & Bujanovic, ACM TOMS 2008).  With u = 2^-53 and W
-orthonormal to working precision, inner-product error bounds (Higham,
-Accuracy and Stability of Numerical Algorithms, 2002, ch. 3) put a downdated ||y_i||^2 within
-(m (1 + 2 sqrt k) + k + 1) u ||x_i||^2 of the exact value, to first
-order, and a recomputed one within
-2 sqrt(k) (m + k) u ||x_i|| ||y_i|| + (m + 2) u ||y_i||^2.  The
-downdate's relative error thus grows as ||x_i||^2 / ||y_i||^2, to at most
-(m (1 + 2 sqrt k) + k + 1) u / DOWNDATE_RTOL.  Measured against exact
-rational arithmetic at m = 10 and 200, it was 6-17 u ||x_i||^2 / ||y_i||^2,
-at most 2e-12 at the threshold.
-
-For l1, which needs |Y|, it forms and reduces X_b - W T_b one block of
-columns at a time in a buffer of about ``_BLOCK_BYTES`` that each call
-allocates, so the m x n residual is never held whole, each block is
-reduced while it is still in cache, and no buffer outlives the call.
-With several blocks it sums only |Y| there and takes the squared norms
-from the downdate first, which saves a pass over every block and keeps
-the downdate's recompute from running beside the buffer.  With one
-block it sums the squares in the same pass: on such small data the
-downdate's fixed cost per call exceeds the pass it saves.  The block
-width is fixed by m and n alone, so the sums, and which path gives the
-squares, do not depend on the caller; the downdate's recompute runs in
-chunks of at most that width.  With several blocks each block also
-takes its slice of d, which depends on its own columns' sums alone, and
-adds X_b (d_b * V_b^T X_b)^T to M V while X_b is still in cache, so
-M V costs no read of X of its own.  For l2p, which forms no residual,
-and for l1 on one block, ``power_product`` takes M V whole, and only
-once a step follows, so the round that ends a fit does not pay for it.  The reweighted
-scatter X diag(d) X^T is built as Z Z^T with Z = X diag(sqrt d), a
-symmetric rank-n update that is exactly symmetric.
+All three losses measure the residual Y = X - W W^T X.  Every loss and
+weight diagonal d comes from its per-column sums, ``column_stats``, by one
+formula per loss; d turns a robust loss into the weighted quadratic
+tr(Y diag(d) Y^T).  For a basis W, ``_basis_stats`` alone forms the sums,
+and never holds the m x n residual whole.
 """
 from __future__ import annotations
 
@@ -137,15 +80,13 @@ def column_stats(resid: np.ndarray, norm: NormSpec) -> ColumnStats:
 # The residual is formed and reduced this many bytes of columns at a time:
 # a block small enough to stay in cache from the product that writes it to
 # the passes that reduce it, large enough that per-block overhead is small.
-# The step's product M V reads the block of X again, so the block and
-# the buffer, 512 KiB each, fit a 2 MiB L2 together (timed in CHANGES.md).
+# The step's product M V reads the block of X again, so the block and the
+# buffer fit a 2 MiB L2 cache together.
 _BLOCK_BYTES = 1 << 19
 # ...but at least this many columns, so that m >> n data is not reduced
 # column by column.
 _BLOCK_MIN_COLS = 32
-# A downdated ||x_i||^2 - ||W^T x_i||^2 at or below this fraction of ||x_i||^2
-# has lost too many digits to cancellation; its column is recomputed from
-# its own residual.
+# A downdated ||y_i||^2 at or below this fraction of ||x_i||^2 has cancelled.
 DOWNDATE_RTOL = 1e-3
 
 
@@ -162,13 +103,20 @@ def _residual(x: np.ndarray, w: np.ndarray, t: np.ndarray, y: np.ndarray) -> np.
 def _downdated_sq(
     x: np.ndarray, w: np.ndarray, t: np.ndarray, col_sq: np.ndarray | None = None
 ) -> np.ndarray:
-    """Squared column norms of X - W T for T = W^T X, as ``col_sq`` minus
-    the column sums of T^2, ``col_sq`` being ||x_i||^2 (taken here when
-    not given, as ``objective_value`` leaves it).
+    """Squared column norms of X - W T for T = W^T X: W is orthonormal, so
+    ||x_i - W t_i||^2 = ||x_i||^2 - ||t_i||^2, with ``col_sq`` = ||x_i||^2
+    (taken here when not given, as ``objective_value`` leaves it).
 
     A column whose difference is not above DOWNDATE_RTOL ||x_i||^2
-    (negative, zero and NaN ones included) is recomputed from its own
-    residual, in chunks of at most one residual block.
+    (negative, zero and NaN ones included) lies in or near span(W) and is
+    recomputed from its own residual, in chunks of at most one block, as
+    LAPACK's xLAQP2 does for pivoted QR (Drmac & Bujanovic, ACM TOMS 2008).
+    With u = 2^-53, inner-product error bounds (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3) put a downdated
+    ||y_i||^2 within (m (1 + 2 sqrt k) + k + 1) u ||x_i||^2 of the exact
+    value, to first order, so a kept one's relative error is at most that
+    factor over DOWNDATE_RTOL; a recomputed one is within
+    2 sqrt(k) (m + k) u ||x_i|| ||y_i|| + (m + 2) u ||y_i||^2.
     """
     if col_sq is None:
         # fit passes a finite col_sq, having rejected data whose squared norm
@@ -202,17 +150,19 @@ def _basis_stats(
     ``clamp``, the step's weights d and product M V = X (d * V^T X)^T.
 
     T is taken here in one product unless the caller passes it as ``t``.
-    The squared norms and the l1 blocks follow the module docstring;
-    ``col_sq`` = ||x_i||^2 is taken in ``_downdated_sq`` when not given.
-    The blocks split the n columns evenly, so none is much narrower than
-    the buffer: a one-column block would take BLAS's gemv path, whose
-    rounding differs from gemm's.
+    The squared norms come from ``_downdated_sq``, except for l1 on one
+    block.  For l1, which needs |Y|, X_b - W T_b is formed and reduced one
+    block of ``_block_width`` columns at a time, in a buffer each call
+    allocates; with one block the squares are summed in the same pass, as
+    on data that small the downdate costs more than the pass it saves.  The
+    blocks split the n columns evenly: a one-column block would take BLAS's
+    gemv path, which rounds differently.
 
     Given ``clamp``, the second item is (d, V^T X, M V), V^T X being the
     caller's ``vt``, or T when none is given.  On several l1 blocks each
-    block takes its slice of d and adds its share of M V, scaling its
-    columns of V^T X by d in place.  Otherwise M V is None, and
-    ``power_product`` takes it whole once a step follows.
+    block takes its slice of d and adds its share of M V while X_b is in
+    cache, scaling its columns of V^T X by d in place.  Otherwise M V is
+    None, and ``power_product`` takes it whole once a step follows.
     """
     if t is None:
         t = w.T @ x
@@ -266,7 +216,15 @@ def objective_from_stats(stats: ColumnStats, norm: NormSpec) -> float:
 
 def weights_from_stats(stats: ColumnStats, norm: NormSpec, clamp: float) -> np.ndarray:
     """The reweighting diagonal of ``norm``, with column norms clamped at
-    ``clamp``; for l1, tr(Y diag(d) Y^T) = ||Y||_1 on columns above it."""
+    ``clamp``; for l1, tr(Y diag(d) Y^T) = ||Y||_1 on columns above it.
+
+    For l2p these are, up to a factor 2 that moves no step, the MM weights
+    of the loss Huberized at the clamp c: h(t) = t^p for t >= c, and
+    (p/2) c^(p-2) t^2 + (1 - p/2) c^p below.  The weighted quadratic lies
+    above sum h, so a step that never raises it never raises sum h; the
+    true loss can rise once a column falls below c.  The l1 weights give
+    no such bound.
+    """
     if norm.kind == "l1":
         return stats.abs / np.maximum(stats.sq, clamp * clamp)
     if norm.kind == "l2p":

@@ -1,101 +1,40 @@
 """Orthonormal-subspace solvers for the reconstruction losses.
 
 ``fit`` is the only code that computes a basis.  For fro it returns the
-closed-form minimizer, the vanilla start (``vanilla_pca`` returns it too),
-and runs no round.  For l1 and l2p it runs one reweighted
-majorize-minimize (MM) loop.  Each round reduces the residual
-X - W W^T X to ``objectives.column_stats`` with ``_basis_stats``, which
-takes T = W^T X once and forms the sums as the ``objectives`` docstring
-says.  The objective, the weight diagonal d and the span-floor test
-follow from those sums.  For pgd and momentum the same pass takes the
-next round's d and, on several l1 blocks, its product M V block by
-block; the round that ends the fit leaves them unused.  With
-M = X diag(d) X^T, the weighted quadratic built around the current
-basis is tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and the step
-``SolverConfig.variant`` names raises tr(W^T M W).  M V is always taken
-as X (d * V^T X)^T, one 2mnk-flop product, so neither pgd nor momentum
-forms an m x m matrix.
+closed-form minimizer, the vanilla start, and runs no round.  For l1 and
+l2p it runs one reweighted majorize-minimize (MM) loop.  Each round
+reduces the residual Y = X - W W^T X to its column sums with
+``objectives._basis_stats``; the objective, the weight diagonal d and the
+span-floor test follow from them.  With M = X diag(d) X^T the weighted
+quadratic built around W is tr(Y diag(d) Y^T) = tr(M) - tr(W^T M W), and
+the step ``SolverConfig.variant`` names raises tr(W^T M W):
 
-* ``pgd``       the Rayleigh-Ritz step over span[W, M W]: the W' that
-                maximizes tr(W'^T M W') among orthonormal m x k matrices
-                in that subspace, the subspace step of LOBPCG (Knyazev,
-                SIAM J. Sci. Comput. 2001) without its third block.  Q is
-                an orthonormal basis of [W, M W / tr(M)] from its thin
-                SVD, less the directions whose singular value is at or
-                below DROP_RTOL of the largest, as robust LOBPCG codes
-                drop them (Duersch, Shao, Yang & Gu, SIAM J. Sci. Comput.
-                2018).  The step takes S = Q^T X, one product with X of
-                at most 2k rows, sums G = S diag(d) S^T = Q^T M Q over
-                column blocks, and takes the top-k eigenvectors U of G:
-                W' = Q U, and T' = U^T S, which the next stats pass takes
-                for W'^T X.  A round thus reads X twice, for S and for
-                the stats pass with its M W.  tr(M) = sum_i d_i ||x_i||^2
-                comes from the column norms of X; M W / tr(M) has norm at
-                most 1, and the scale overflows no square.
+* ``pgd``       the Rayleigh-Ritz step over span[W, M W] (``_ritz_step``).
 * ``momentum``  the shifted power step polar((M + sigma I) V) at
                 V = W + b (W - W_old), b = (s-2)/(s+1) in round s: the
-                nearest-orthonormal (Procrustes) factor, as in the
                 generalized power method (Journee, Nesterov, Richtarik &
-                Sepulchre, 2010), from an extrapolated point; no monotone
-                guarantee.  V^T X is linear in V, so it is taken as
-                T + b (T - T_old) from the T of this round's stats pass
-                and of the last round's, with no product with X.  Round 1
-                has W_old = W and T_old = T.  The shift is
-                sigma = POWER_SHIFT_RTOL tr(M).
-* ``irls``      the top-k eigenvectors of M, guarded: when they raise
-                sum_i d_i ||y_i||^2, pgd's step from W is taken instead,
-                M W from ``power_product``, and
-                ``FitResult.guarded_steps`` counts it.
+                Sepulchre, JMLR 2010) from an extrapolated point, with no
+                monotone guarantee.  V^T X is linear in V, so it is
+                combined as T + b (T - T_old) from the stats passes' T.
+* ``irls``      the top-k eigenvectors of M, guarded (below).
 
-pgd's step never lowers tr(W^T M W): W lies in span[W, M W], so W' is
-chosen from a set that holds W.  The dropped directions carry at most
-DROP_RTOL of [W, M W / tr(M)], a rounding-sized loss.  Near a fixed
-point M W ~ W (W^T M W), the new part of M W vanishes and is dropped, and
-the step keeps span(W).
+M V is always X (d * V^T X)^T, so pgd and momentum form no m x m matrix;
+their stats pass at W also takes the next step's d and, on several l1
+blocks, M V.
 
-momentum's shift is there for its retraction: once the weights span the
-clamp, the singular values of M V alone can span past the rank test of
-``procrustes_project``.  V = (1 + b) W - b W_old, with b = (s-2)/(s+1) in
-[0, 1) once W_old differs from W, has singular values in [1, 1 + 2b]
-(for unit u, ||V u|| is within b of (1 + b) ||W u||).  So (M + sigma I) V
-has s_min >= sigma and s_max <= 3 (tr(M) + sigma), and s_min / s_max
-stays at or above POWER_SHIFT_RTOL / (3 (1 + POWER_SHIFT_RTOL)).
+irls's eigenvectors maximize tr(W^T M W) in exact arithmetic only: once
+weights reach c^(p-2) (c the clamp), a few huge ones dominate M and
+``eigh`` resolves the others to about eps ||M||.  So the guard compares
+sum_i d_i ||y_i||^2 at the eigenvectors, from the stats pass the next
+round needs anyway, with the same sum at W, and takes pgd's step from W
+when they raised it: a safeguarded MM step (Hunter & Lange, The American
+Statistician 2004).  tr(W^T M W) from T would cancel at such weights.
 
-irls's eigenvectors maximize tr(W^T M W) in exact arithmetic only.  When
-the weights span c^(p-2) (c the clamp), a few huge weights dominate M,
-``eigh`` resolves the other directions to about eps ||M|| alone, and the
-step can raise the weighted quadratic.  The guard compares
-sum_i d_i ||y_i||^2 at the candidate, from the ``_basis_stats`` call the
-next round needs anyway, with the same sum at W, and takes pgd's step
-only when the candidate raised it: a safeguarded MM step (Hunter & Lange,
-The American Statistician, 2004), monotone by pgd's argument above.
-Only that step takes W^T X again.  The comparison is on the residual
-side; tr(W^T M W) from T would cancel at such weights.
-
-The weights clamp residual column norms at CLAMP_RTOL times the data's RMS
-column norm ||X||_F / sqrt(n), so that a fit does not depend on the data's
-units.  The clamp is floored at sqrt(float_info.min), so that the l1
-clamp squared stays a normal double; below an RMS column norm of about
-1e-144 it stops scaling.  ||X||_F is taken once, from the column norms
-||x_i||^2, where ``fit`` also rejects data whose squared norm overflows.
-
-``fit`` counts the closed eigengaps ``top_r_eigvecs`` flags for its
-vanilla start and irls steps, and touches no process-wide warnings state;
-only ``vanilla_pca``, called on its own, warns.
-
-Column signs are a choice about output: the loss and the weights depend
-on span(W) alone.  An irls round reads its basis only through T = W^T X
-and W T; negating a column negates a row of T and leaves W T, and with it
-every sum, weight and guard comparison, unchanged to the bit.  So irls
-rounds take eigenvectors in LAPACK's signs, and ``fit`` applies
-``linalg._fix_column_signs`` in two places: to the vanilla start, which
-pgd's and momentum's steps read directly, and to each basis it hands
-out, the result and each callback basis, whichever step made it.
-
-Convergence is declared when the relative objective change drops to
-``tol``, or, before any step, when the residual is rounding noise
-(||R||_F <= 1e-12 ||X||_F): the basis then spans the data (k = m, rank at
-most k, a zero residual), and every loss is at its global minimum.
+Column signs are a choice about output: the loss and the weights depend on
+span(W) alone, and an irls round reads its basis only through T = W^T X
+and W T, whose bits no column's sign changes.  So irls rounds keep LAPACK's
+signs, and ``fit`` applies ``linalg._fix_column_signs`` to the vanilla
+start, which pgd's and momentum's steps read, and to each basis it hands out.
 """
 from __future__ import annotations
 
@@ -124,20 +63,22 @@ from .objectives import (
 )
 
 MONOTONE_SLACK_RTOL = 1e-12
-# ||X - W W^T X||_F at or below this fraction of ||X||_F is rounding noise.
+# ||X - W W^T X||_F at or below this fraction of ||X||_F is rounding noise:
+# the basis spans the data, so every loss is at its global minimum.
 SPAN_RTOL = 1e-12
 # Residual column norms are clamped at this fraction of the RMS column norm.
 CLAMP_RTOL = 1e-10
 CLAMP_FLOOR = math.sqrt(sys.float_info.min)
-# momentum's shift sigma as a fraction of tr(M): it keeps s_min / s_max of
-# (M + sigma I) V at or above 1e-4 / (3 (1 + 1e-4)); a smaller one saved pgd
-# no rounds when pgd took this step.
+# momentum's shift sigma as a fraction of tr(M).  The shift is there for the
+# retraction: once weights reach c^(p-2) the singular values of M V alone can
+# span past ``procrustes_project``'s rank test.  V = (1 + b) W - b W_old with
+# b in [0, 1) has singular values in [1, 1 + 2b] (for unit u, ||V u|| is
+# within b of 1 + b), so s_min / s_max of (M + sigma I) V stays at or above
+# POWER_SHIFT_RTOL / (3 (1 + POWER_SHIFT_RTOL)), whatever the weights.
 POWER_SHIFT_RTOL = 1e-4
 # pgd's step drops the directions of [W, M W / tr(M)] whose singular value is
 # at or below this fraction of the largest: near a fixed point M W lies in
-# span(W), and what is left of its new part is rounding.  Kept, that rounding
-# moved reordered or rescaled small_grid fits by up to 8e-7 rad; at 1e-7 pgd
-# stopped short of irls's objective on the 60 x 8 l1 plateau.
+# span(W), and what is left of its new part is rounding.
 DROP_RTOL = 1e-10
 # The random start draws from its own stream of the seed.  datagen draws the
 # planted basis first from default_rng(seed), so a start drawn from that
@@ -192,11 +133,8 @@ class FitResult:
 
 
 def check_convergence(trace, tol: float) -> bool:
-    """True when the last objective change is at most tol, relatively.
-
-    The comparison is |J_last - J_prev| <= tol * max(|J_prev|, 1e-30); the
-    floor only keeps an exactly-zero objective from dividing by zero.
-    """
+    """True when |J_last - J_prev| <= tol * max(|J_prev|, 1e-30); the floor
+    only keeps an exactly-zero objective from dividing by zero."""
     if len(trace) == 0:
         raise ValueError("trace must be nonempty")
     if len(trace) < 2:
@@ -241,7 +179,10 @@ def _initial_basis(data: DataMatrix, k: int, config: SolverConfig) -> tuple[np.n
 
 
 def weight_clamp(frobenius: float, n: int) -> float:
-    """The clamp for n samples of ||X||_F = ``frobenius`` (module docstring)."""
+    """The clamp for n samples of ||X||_F = ``frobenius``: CLAMP_RTOL times
+    the RMS column norm, so that a fit does not depend on the data's units.
+    Its floor keeps the l1 clamp squared a normal double and the l2p weight
+    clamp^(p-2) finite; below an RMS column norm of about 1.5e-144 it holds."""
     return max(CLAMP_RTOL * frobenius / math.sqrt(n), CLAMP_FLOOR)
 
 
@@ -250,9 +191,17 @@ def _weights_for(norm: NormSpec, stats: ColumnStats, clamp: float) -> np.ndarray
 
 
 def _ritz_step(x: np.ndarray, w: np.ndarray, mw: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """pgd's step: the W' maximizing tr(W'^T M W') over span[W, M W], and
-    T' = W'^T X as the step forms it (module docstring).  ``mw`` is
-    M W / tr(M); d is M's weight diagonal."""
+    """pgd's step: the orthonormal W' in span[W, M W] maximizing
+    tr(W'^T M W'), and T' = W'^T X as the step forms it; ``mw`` is
+    M W / tr(M), of norm at most 1, and d is M's weight diagonal.
+
+    The subspace step of LOBPCG (Knyazev, SIAM J. Sci. Comput. 2001)
+    without its third block: Q spans [W, M W / tr(M)] less the directions
+    at or below DROP_RTOL (Duersch, Shao, Yang & Gu, SIAM J. Sci. Comput.
+    2018), and W' = Q U for the top-k eigenvectors U of G = S diag(d) S^T,
+    S = Q^T X.  W lies in the subspace, so tr(W^T M W) never falls, up to
+    the dropped rounding.  T' = U^T S spares the next stats pass a product.
+    """
     u, sv, _ = np.linalg.svd(np.concatenate((w, mw), axis=1), full_matrices=False)
     q = u[:, : np.count_nonzero(sv > DROP_RTOL * sv[0])]
     s = q.T @ x
@@ -279,18 +228,12 @@ def fit(
 ) -> FitResult:
     """Fit a k-column orthonormal basis minimizing the chosen loss.
 
-    For fro the vanilla start is the minimizer: the result holds it, with
-    ``iterations=0``, ``converged=True`` and a one-entry trace.  For l1 and
-    l2p it runs the MM loop of the module docstring.  pgd, and irls through
-    its guard, never raise the weighted quadratic, so for l2p never the
-    Huberized sum of ``objectives``.  Rises of the true loss are counted in
-    ``monotone_violations``, closed eigengaps in ``spectrum_gap_events``,
-    and irls rounds whose guard took pgd's step in ``guarded_steps``.
-
-    ``callback(it, basis, objective)`` sees the start (it = 0) and every
-    iterate after it.  In every basis handed out, the result's and the
-    callback's, each column's first entry above 1e-12 in magnitude is
-    nonnegative (module docstring).
+    For fro the vanilla start is the minimizer, returned with no round; for
+    l1 and l2p the MM loop of the module docstring runs until
+    ``check_convergence`` or the span floor stops it.  ``callback(it,
+    basis, objective)`` sees the start (it = 0) and every iterate after it.
+    Closed eigengaps are counted, not warned about, so no process-wide
+    warnings state is touched.
     """
     config = _check_fit_args(data, k, norm, config)
     start = time.perf_counter()
@@ -308,7 +251,6 @@ def fit(
     w, gap_closed = _initial_basis(data, k, config)
     gap_events = int(gap_closed)
     guarded_steps = 0
-    # pgd's and momentum's stats passes also take the next round's d and M V
     power_clamp = None if config.variant == "irls" or norm.kind == "fro" else clamp
     momentum = config.variant == "momentum"
     t = vt = None

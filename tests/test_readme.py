@@ -1,5 +1,7 @@
 """The README's command-line examples run as written and write the files
-its "Outputs" list names, and its library example runs as written."""
+its "Outputs" list names, its library example runs as written, and the
+constants it quotes have the values it gives."""
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -67,3 +69,14 @@ def test_readme_library_example_runs(capsys):
     converged, iterations, angle = capsys.readouterr().out.split()
     assert converged == "True" and int(iterations) >= 1
     assert 0.0 <= float(angle) < 0.01
+
+
+def test_readme_constants_match_the_code():
+    """Each constant the README quotes with a value, written
+    `repca.<module>.<NAME>` (<value>), has that value in the code."""
+    quoted = re.findall(r"`repca\.(\w+)\.(\w+)`\s+\(([^)\s]+)\)", README)
+    names = {name for _, name, _ in quoted}
+    assert names >= {"DOWNDATE_RTOL", "DROP_RTOL", "POWER_SHIFT_RTOL", "CLAMP_RTOL", "_SIGN_TOL"}
+    wrong = [(module, name, value) for module, name, value in quoted
+             if getattr(importlib.import_module(f"repca.{module}"), name) != float(value)]
+    assert wrong == []

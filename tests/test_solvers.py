@@ -953,6 +953,25 @@ def test_pgd_converges_on_wide_data():
         assert fit(data, 3, norm, SolverConfig(variant="pgd", max_iter=100)).converged, norm
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2: momentum's extrapolated power step has no descent "
+    "guarantee and runs all 500 rounds on these problems",
+)
+def test_momentum_converges_on_60x8_data():
+    """Stated guarantee: momentum converges where pgd and irls do.  On these
+    60x8 l2p(0.5) problems pgd converges in 34 and 8 rounds and irls in 48
+    and 12.  momentum runs all 500; on seed 2 it rises on 494 rounds and
+    ends at 5.542, against pgd's 5.260 and irls's 5.206."""
+    unconverged = []
+    for seed in (0, 2):
+        data, _ = _instance(seed, m=60, n=8, k=2, frac=0.1, scale=5.0)
+        if not fit(data, 2, NormSpec.l2p(0.5), SolverConfig(variant="momentum")).converged:
+            unconverged.append(seed)
+    assert unconverged == []
+
+
 def test_robust_fit_recovers_subspace_under_outliers():
     data, truth = _instance(12, m=10, n=150, k=2, noise=0.02, frac=0.1, scale=6.0)
     van_angle = principal_angles(vanilla_pca(data, 2), truth).max()
