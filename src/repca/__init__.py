@@ -17,7 +17,7 @@ from .metrics import EvalReport, evaluate, principal_angles
 from .objectives import NormSpec, objective_value
 from .solvers import FitResult, SolverConfig, fit, vanilla_pca
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "CsvParseError",

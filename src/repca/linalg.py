@@ -158,11 +158,14 @@ def center_columns(data: DataMatrix) -> tuple[DataMatrix, np.ndarray]:
     Returns the centered matrix and the mean vector that was removed.
     Already-centered input is returned unchanged with a zero mean, which
     makes the operation exactly idempotent.  The centered values are
-    written once, into the array ``DataMatrix`` then copies.
+    written into one array, which ``DataMatrix`` then copies, and centered
+    again in place: on a constant row the residue x - fl(mean) is all
+    there is, and the centered check refuses a nonzero constant row.
     """
     if data.centered:
         return data, np.zeros(data.n_features)
     shifted, mean = _center_rows(data.values)
+    _center_rows(shifted, out=shifted)
     return DataMatrix(shifted, centered=True), mean
 
 

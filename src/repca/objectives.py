@@ -145,9 +145,9 @@ def _basis_stats(
     t: np.ndarray | None = None,
     clamp: float | None = None,
     vt: np.ndarray | None = None,
-) -> tuple[ColumnStats, tuple | None]:
-    """``column_stats`` of X - W T for T = W^T X and, given the weight
-    ``clamp``, the step's weights d and product M V = X (d * V^T X)^T.
+) -> tuple[ColumnStats, np.ndarray | None, np.ndarray | None]:
+    """(stats, d, M V): ``column_stats`` of X - W T for T = W^T X, and the
+    weights d and product M V = X (d * V^T X)^T when this pass fused them.
 
     T is taken here in one product unless the caller passes it as ``t``.
     The squared norms come from ``_downdated_sq``, except for l1 on one
@@ -158,44 +158,36 @@ def _basis_stats(
     blocks split the n columns evenly: a one-column block would take BLAS's
     gemv path, which rounds differently.
 
-    Given ``clamp``, the second item is (d, V^T X, M V), V^T X being the
-    caller's ``vt``, or T when none is given.  On several l1 blocks each
-    block takes its slice of d and adds its share of M V while X_b is in
-    cache, scaling its columns of V^T X by d in place.  Otherwise M V is
-    None, and ``power_product`` takes it whole once a step follows.
+    d and M V are fused only on several l1 blocks given the weight
+    ``clamp`` and ``vt`` = V^T X: each block takes its slice of d and adds
+    its share of M V while X_b is in cache, scaling its columns of ``vt``
+    by d in place.  Otherwise both are None, and the caller takes d from
+    ``weights_from_stats`` and M V from ``power_product``.
     """
     if t is None:
         t = w.T @ x
     m, n = x.shape
     width = _block_width(m, n) if norm.kind == "l1" else n
-    if width == n and norm.kind == "l1":  # one block
-        stats = _column_sums(_residual(x, w, t, np.empty((m, n))), norm)
-    else:
-        stats = ColumnStats(_downdated_sq(x, w, t, col_sq), None)
-    if clamp is None:
-        vt = None
-    elif vt is None:
-        vt = t
-    mv = None
-    if width < n:  # several l1 blocks
-        blocks = -(-n // width)
-        edges = [n * e // blocks for e in range(blocks + 1)]
-        flat = np.empty(m * width)
-        sq, ab = stats.sq, np.empty(n)
-        if vt is not None:
-            d, mv = np.empty(n), np.zeros((m, w.shape[1]))
-        for i, j in zip(edges, edges[1:]):
-            xb = x[:, i:j]
-            y = _residual(xb, w, t[:, i:j], flat[: m * (j - i)].reshape(m, j - i))
-            np.abs(y, out=y).sum(axis=0, out=ab[i:j])
-            if vt is not None:
-                d[i:j] = weights_from_stats(ColumnStats(sq[i:j], ab[i:j]), norm, clamp)
-                vt[:, i:j] *= d[i:j]
-                mv += xb @ vt[:, i:j].T
-        stats = ColumnStats(sq, ab)
-    elif vt is not None:
-        d = weights_from_stats(stats, norm, clamp)
-    return stats, (None if vt is None else (d, vt, mv))
+    if width == n:
+        if norm.kind == "l1":  # one block
+            return _column_sums(_residual(x, w, t, np.empty((m, n))), norm), None, None
+        return ColumnStats(_downdated_sq(x, w, t, col_sq), None), None, None
+    blocks = -(-n // width)
+    edges = [n * e // blocks for e in range(blocks + 1)]
+    flat = np.empty(m * width)
+    sq, ab = _downdated_sq(x, w, t, col_sq), np.empty(n)
+    d = mv = None
+    if clamp is not None:
+        d, mv = np.empty(n), np.zeros((m, w.shape[1]))
+    for i, j in zip(edges, edges[1:]):
+        xb = x[:, i:j]
+        y = _residual(xb, w, t[:, i:j], flat[: m * (j - i)].reshape(m, j - i))
+        np.abs(y, out=y).sum(axis=0, out=ab[i:j])
+        if d is not None:
+            d[i:j] = weights_from_stats(ColumnStats(sq[i:j], ab[i:j]), norm, clamp)
+            vt[:, i:j] *= d[i:j]
+            mv += xb @ vt[:, i:j].T
+    return ColumnStats(sq, ab), d, mv
 
 
 def power_product(x: np.ndarray, vt: np.ndarray, d: np.ndarray) -> np.ndarray:

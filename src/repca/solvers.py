@@ -18,9 +18,11 @@ the step ``SolverConfig.variant`` names raises tr(W^T M W):
                 combined as T + b (T - T_old) from the stats passes' T.
 * ``irls``      the top-k eigenvectors of M, guarded (below).
 
-M V is always X (d * V^T X)^T, so pgd and momentum form no m x m matrix;
-their stats pass at W also takes the next step's d and, on several l1
-blocks, M V.
+M V is always X (d * V^T X)^T, so pgd and momentum form no m x m matrix.
+``fit`` takes T = W^T X once, at the start, and hands each stats pass its
+T.  Only pgd's and momentum's passes on several l1 blocks fuse d and M V
+into their block loop; otherwise d comes from ``_weights_for`` at the top
+of the round and M V from ``power_product`` once a step follows.
 
 irls's eigenvectors maximize tr(W^T M W) in exact arithmetic only: once
 weights reach c^(p-2) (c the clamp), a few huge ones dominate M and
@@ -29,6 +31,8 @@ sum_i d_i ||y_i||^2 at the eigenvectors, from the stats pass the next
 round needs anyway, with the same sum at W, and takes pgd's step from W
 when they raised it: a safeguarded MM step (Hunter & Lange, The American
 Statistician 2004).  tr(W^T M W) from T would cancel at such weights.
+Its M W takes W^T X afresh: after a guarded round the step's T' is W^T X
+only to rounding, and at such weights that rounding moves the next step.
 
 Column signs are a choice about output: the loss and the weights depend on
 span(W) alone, and an irls round reads its basis only through T = W^T X
@@ -214,11 +218,6 @@ def _ritz_step(x: np.ndarray, w: np.ndarray, mw: np.ndarray, d: np.ndarray) -> t
     return q @ top, top.T @ s
 
 
-def _extrapolation(s: int) -> float:
-    """momentum's coefficient b in round s."""
-    return (s - 2.0) / (s + 1.0)
-
-
 def fit(
     data: DataMatrix,
     k: int,
@@ -253,11 +252,10 @@ def fit(
     guarded_steps = 0
     power_clamp = None if config.variant == "irls" or norm.kind == "fro" else clamp
     momentum = config.variant == "momentum"
-    t = vt = None
+    t = vt = w.T @ x  # pgd's V^T X is T
     if momentum:  # W_old = W makes round 1's V = W, and its V^T X a copy of T
-        w_old, b, t = w, _extrapolation(1), w.T @ x
-        vt = t.copy()
-    stats, power = _basis_stats(x, w, norm, col_sq, t=t, clamp=power_clamp, vt=vt)
+        w_old, vt = w, t.copy()
+    stats, d, mv = _basis_stats(x, w, norm, col_sq, t=t, clamp=power_clamp, vt=vt)
     trace = [objective_from_stats(stats, norm)]
     if callback is not None:
         basis = Projection(_fix_column_signs(w))
@@ -267,8 +265,10 @@ def fit(
         if math.sqrt(stats.sq.sum()) <= floor:
             converged = True
             break
-        if config.variant == "irls":
+        if d is None:  # the pass fused nothing: irls, l2p, or l1 on one block
             d = _weights_for(norm, stats, clamp)
+        if config.variant == "irls":
+            t = vt = None  # irls reads T only in the pass it was formed for
             w_eig, gap_closed = top_r_eigvecs(weighted_scatter(data, d), k)
             gap_events += gap_closed
             stats_eig = _basis_stats(x, w_eig, norm, col_sq)[0]
@@ -276,29 +276,27 @@ def fit(
                 guarded_steps += 1
                 mv = power_product(x, w.T @ x, d)
             else:
-                w, stats, mv = w_eig, stats_eig, None
-        else:
-            # from the pass at W; momentum's V^T X is T + b (T - T_old)
-            d, vt, mv = power
-            if mv is None:  # l2p, or l1 on one block: taken only now a step follows
-                mv = power_product(x, vt, d)
-            power = vt = None  # dropped before the next stats pass
+                w, stats, d = w_eig, stats_eig, None
+        elif mv is None:  # taken only now a step follows
+            mv = power_product(x, vt, d)
+        vt = None  # dropped before the next V^T X is formed
         if momentum:
+            s = len(trace)  # the round
+            b = (s - 2.0) / (s + 1.0)
             shift = POWER_SHIFT_RTOL * float(d @ col_sq)
             w, w_old = procrustes_project(mv + shift * (w + b * (w - w_old))), w
-            b = _extrapolation(len(trace) + 1)  # the next round's
-            # the next V^T X = T + b (T - T_old), combined in T_old's buffer
+            # the next V^T X = T + b (T - T_old), at the next round's b, in T_old's buffer
             vt, t = t, w.T @ x
             np.subtract(t, vt, out=vt)
-            vt *= b
+            vt *= (s - 1.0) / (s + 2.0)
             vt += t
-            stats, power = _basis_stats(x, w, norm, col_sq, t=t, clamp=power_clamp, vt=vt)
+            stats, d, mv = _basis_stats(x, w, norm, col_sq, t=t, clamp=power_clamp, vt=vt)
         elif mv is not None:  # pgd, or irls's guard: the Rayleigh-Ritz step from W
             mv /= float(d @ col_sq)  # M W / tr(M)
-            w, vt = _ritz_step(x, w, mv, d)
-            # T' stands in for W'^T X, and pgd's pass scales it by d as its next V^T X
-            stats, power = _basis_stats(x, w, norm, col_sq, t=vt, clamp=power_clamp)
-            vt = None  # irls keeps no T into its next round
+            t = None  # spent, before the step forms S and T'
+            w, t = _ritz_step(x, w, mv, d)
+            vt = t  # T' stands in for W'^T X, and pgd's pass scales it by d as its next V^T X
+            stats, d, mv = _basis_stats(x, w, norm, col_sq, t=t, clamp=power_clamp, vt=vt)
         trace.append(objective_from_stats(stats, norm))
         if callback is not None:
             basis = Projection(_fix_column_signs(w))

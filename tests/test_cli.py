@@ -129,10 +129,10 @@ def test_fit_l2p_records_exponent(tmp_path):
     assert trace["solver"] == "irls"
 
 
-@pytest.mark.parametrize("rows", ("3.0,3.0,3.0\n" * 4, "1.0,-2.0,0.5\n"),
-                         ids=("constant", "single_sample"))
+@pytest.mark.parametrize("rows", ("3.0,3.0,3.0\n" * 4, "0.1,0.1,0.1\n" * 80, "1.0,-2.0,0.5\n"),
+                         ids=("constant", "constant_mean_rounds", "single_sample"))
 def test_fit_degenerate_csv_keeps_stderr_empty(tmp_path, capsys, rows):
-    """Centered, both files are all zeros, so the vanilla start has no
+    """Centered, every file is all zeros, so the vanilla start has no
     eigengap; the fit counts that instead of printing a warning, and
     ``trace.json`` records the count.  So do the closed-form fro fit and
     every bench fit, in ``traces.json``."""

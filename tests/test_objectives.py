@@ -90,8 +90,8 @@ def test_residual_is_orthogonal_to_basis():
         before = x.copy()
         q, _ = np.linalg.qr(rng.standard_normal((m, k)))
         t = q.T @ x
-        stats, power = _basis_stats(x, q, L1)
-        assert power is None
+        stats, d, mv = _basis_stats(x, q, L1)
+        assert d is None and mv is None
         np.testing.assert_allclose(stats.sq, (x * x).sum(axis=0) - (t * t).sum(axis=0), atol=1e-10)
         assert np.array_equal(x, before)
 
@@ -233,15 +233,15 @@ def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
     residual's error bounds.  Passed the caller's T = W^T X, the pass gives
     the same sums bit for bit.
 
-    Given the clamp, the pass's d is ``weights_from_stats`` of its stats
-    bit for bit, for pgd's V^T X = T and for a given V^T X, formed as
-    momentum forms T + b (T - T_old).  On several l1 blocks its M V, each
-    block adding its share, is within ``_product_bound`` of
-    X (d * V^T X)^T taken in one product.  When one block holds every
-    column, and for l2p, it leaves M V to ``power_product``, whose product
-    from the pass's V^T X and d is that one bit for bit.  A given V^T X is
-    the buffer returned, and T is left unchanged; pgd's V^T X is T's own
-    buffer."""
+    Given the clamp and V^T X, on several l1 blocks the pass's d is
+    ``weights_from_stats`` of its stats bit for bit, for pgd's V^T X = T
+    and for V^T X formed as momentum forms T + b (T - T_old); its M V,
+    each block adding its share, is within ``_product_bound`` of
+    X (d * V^T X)^T taken in one product, and V^T X is scaled by d in
+    place.  When one block holds every column, and for l2p, it fuses
+    nothing and leaves V^T X unchanged, and ``power_product`` from it and
+    ``weights_from_stats`` is that one product bit for bit.  A separate
+    V^T X leaves T unchanged."""
     rng = np.random.default_rng(m * n)
     x = rng.standard_normal((m, n))
     w, _ = np.linalg.qr(rng.standard_normal((m, k)))
@@ -255,8 +255,8 @@ def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
     for width in (1, 3, 7, n - 1, n, n + 1):
         monkeypatch.setattr(repca.objectives, "_BLOCK_BYTES", 8 * m * width)
         for norm in (L1, NormSpec.l2p(0.5)):
-            stats, power = _basis_stats(x, w, norm)
-            assert power is None
+            stats, d, mv = _basis_stats(x, w, norm)
+            assert d is None and mv is None
             if norm.kind == "l1" and width >= n:
                 assert stats.sq.tobytes() == whole.sq.tobytes()
             else:
@@ -270,21 +270,21 @@ def test_basis_stats_blocks_match_the_whole_residual(monkeypatch, m, n, k):
                 assert stats.abs is None
             for given_vt in (None, t + 0.25 * (t - t_old)):
                 t_in = t.copy()
-                vt_in = None if given_vt is None else given_vt.copy()
                 vt = t if given_vt is None else given_vt
-                stats_p, (d, vt_p, mv) = _basis_stats(x, w, norm, t=t_in, clamp=EPS, vt=vt_in)
+                vt_in = t_in if given_vt is None else given_vt.copy()
+                stats_p, d, mv = _basis_stats(x, w, norm, t=t_in, clamp=EPS, vt=vt_in)
                 assert stats_p.sq.tobytes() == stats.sq.tobytes()
                 assert stats_p.abs is None or stats_p.abs.tobytes() == stats.abs.tobytes()
-                assert vt_p is (t_in if given_vt is None else vt_in)
                 if given_vt is not None:
                     assert t_in.tobytes() == t.tobytes()
-                assert d.tobytes() == weights_from_stats(stats_p, norm, EPS).tobytes()
-                ref = x @ (vt * d).T
                 if norm.kind == "l2p" or width >= n:
-                    assert mv is None and vt_p.tobytes() == vt.tobytes()
-                    assert power_product(x, vt_p, d).tobytes() == ref.tobytes()
+                    assert d is None and mv is None and vt_in.tobytes() == vt.tobytes()
+                    d = weights_from_stats(stats_p, norm, EPS)
+                    assert power_product(x, vt_in, d).tobytes() == (x @ (vt * d).T).tobytes()
                 else:
-                    assert np.all(np.abs(mv - ref) <= _product_bound(x, vt * d))
+                    assert d.tobytes() == weights_from_stats(stats_p, norm, EPS).tobytes()
+                    assert vt_in.tobytes() == (vt * d).tobytes()
+                    assert np.all(np.abs(mv - x @ (vt * d).T) <= _product_bound(x, vt * d))
 
 
 def test_residual_dimension_mismatch():

@@ -441,37 +441,46 @@ def test_ritz_step_stays_put_at_a_fixed_point(monkeypatch):
 def test_irls_guard_replays_from_the_building_blocks():
     """Each irls round keeps the eigen step unless it raises
     sum_i d_i ||y_i||^2 at the round's weights d; then it takes pgd's
-    Rayleigh-Ritz step from W instead, M W from ``power_product`` scaled
-    by 1 / tr(M), and its stats pass takes the step's T' for W'^T X.
-    Rebuilt from the building blocks, the iterates equal ``fit``'s byte
-    for byte, and ``guarded_steps`` counts the Rayleigh-Ritz steps.  The
-    replay steps from the loop's own bases, the random start and the eigen
-    steps in LAPACK's signs; the callback sees each one sign-fixed.  From
-    this random start at l2p(0.5) the weights span about 6e15 by the last
-    round, whose eigen step raises that sum by about 6e-9 of it."""
-    data, _ = _instance(0, m=10, n=200, k=2, frac=0.1, scale=5.0)
+    Rayleigh-Ritz step from W instead, M W from ``power_product`` at
+    W^T X taken afresh, scaled by 1 / tr(M), and its stats pass takes the
+    step's T' for W'^T X.  Rebuilt from the building blocks, the iterates
+    equal ``fit``'s byte for byte, and ``guarded_steps`` counts the
+    Rayleigh-Ritz steps.  The replay steps from the loop's own bases, the
+    start and the eigen steps in LAPACK's signs; the callback sees each one
+    sign-fixed.  From the random start at 10x200 the weights span about
+    6e15 by the last round, whose eigen step raises that sum by about 6e-9
+    of it.  From the vanilla start at 300x40, 9 of the 14 rounds are
+    guarded, several in a row, so a guard that reused the previous step's
+    T' for W^T X would not replay."""
     norm = NormSpec.l2p(0.5)
-    seen = []
-    out = fit(data, 2, norm, SolverConfig(variant="irls", init="random", seed=3),
-              callback=lambda it, basis, obj: seen.append(basis.values))
-    x = data.values
-    col_sq = np.einsum("ij,ij->j", x, x)
-    clamp = weight_clamp(np.sqrt(col_sq.sum()), data.n_samples)
-    guarded = 0
-    w = procrustes_project(np.random.default_rng([3, _RANDOM_START_STREAM]).standard_normal((10, 2)))
-    stats = _basis_stats(x, w, norm, col_sq=col_sq)[0]
-    assert _fix_column_signs(w).tobytes() == seen[0].tobytes()
-    for handed_out in seen[1:]:
-        d = weights_from_stats(stats, norm, clamp)
-        step = top_r_eigvecs(weighted_scatter(data, d), 2)[0]
-        step_stats = _basis_stats(x, step, norm, col_sq=col_sq)[0]
-        if d @ step_stats.sq > d @ stats.sq:
-            guarded += 1
-            step, t_step = _ritz_step(x, w, power_product(x, w.T @ x, d) / float(d @ col_sq), d)
-            step_stats = _basis_stats(x, step, norm, col_sq=col_sq, t=t_step)[0]
-        w, stats = step, step_stats
-        assert _fix_column_signs(w).tobytes() == handed_out.tobytes()
-    assert guarded == out.guarded_steps >= 1
+    for seed, m, n, k, noise, init, consecutive in ((0, 10, 200, 2, 0.1, "random", False),
+                                                    (0, 300, 40, 3, 0.05, "vanilla", True)):
+        data, _ = _instance(seed, m=m, n=n, k=k, noise=noise, frac=0.1, scale=5.0)
+        seen = []
+        out = fit(data, k, norm, SolverConfig(variant="irls", init=init, seed=3),
+                  callback=lambda it, basis, obj: seen.append(basis.values))
+        x = data.values
+        col_sq = np.einsum("ij,ij->j", x, x)
+        clamp = weight_clamp(np.sqrt(col_sq.sum()), data.n_samples)
+        guarded = []
+        if init == "random":
+            w = procrustes_project(np.random.default_rng([3, _RANDOM_START_STREAM]).standard_normal((m, k)))
+        else:
+            w = _fix_column_signs(top_r_eigvecs(x @ x.T, k)[0])
+        stats = _basis_stats(x, w, norm, col_sq=col_sq)[0]
+        assert _fix_column_signs(w).tobytes() == seen[0].tobytes()
+        for it, handed_out in enumerate(seen[1:], start=1):
+            d = weights_from_stats(stats, norm, clamp)
+            step = top_r_eigvecs(weighted_scatter(data, d), k)[0]
+            step_stats = _basis_stats(x, step, norm, col_sq=col_sq)[0]
+            if d @ step_stats.sq > d @ stats.sq:
+                guarded.append(it)
+                step, t_step = _ritz_step(x, w, power_product(x, w.T @ x, d) / float(d @ col_sq), d)
+                step_stats = _basis_stats(x, step, norm, col_sq=col_sq, t=t_step)[0]
+            w, stats = step, step_stats
+            assert _fix_column_signs(w).tobytes() == handed_out.tobytes(), (m, n, it)
+        assert len(guarded) == out.guarded_steps >= 1
+        assert consecutive == any(b - a == 1 for a, b in zip(guarded, guarded[1:]))
 
 
 def test_irls_hands_out_its_last_eigen_step_sign_fixed():
@@ -823,11 +832,14 @@ def test_noiseless_fit_at_the_rank_stops_at_the_span_floor():
 
 @ROBUST_NORMS
 @VARIANT_NAMES
-@pytest.mark.parametrize("case", ("constant", "single_sample", "m_much_greater_than_n"))
+@pytest.mark.parametrize("case", ("constant", "constant_mean_rounds", "single_sample",
+                                  "m_much_greater_than_n"))
 def test_degenerate_inputs_fit_cleanly(case, variant, norm):
     rng = np.random.default_rng(0)
     if case == "constant":
         data, k = _centered(np.full((5, 20), 3.0)), 2
+    elif case == "constant_mean_rounds":  # fl(mean) leaves a residue centering must clear
+        data, k = _centered(np.full((5, 20), 7.7)), 2
     elif case == "single_sample":
         data, k = _centered(rng.standard_normal((5, 1))), 1
     else:

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Run the installed `repca` console script end to end: synth, fit and rerun
-# on three data shapes, and check that each rerun writes the same basis and
-# the same manifest byte for byte, and that every basis written follows the
-# sign convention.
+# on three data shapes and an all-constant file, and check that each rerun
+# writes the same basis and the same manifest byte for byte, and that every
+# basis written follows the sign convention.
 #
 # usage: tools/console_e2e.sh [workdir]
 #
@@ -42,6 +42,11 @@ fit_and_rerun long-momentum --input long/data.csv --k 3 --solver momentum
 # l2p, whose residual norms are downdated, on the multi-block long data (pgd) and the wide data (irls).
 fit_and_rerun long-l2p --input long/data.csv --k 3 --norm l2p --p 0.5 --solver pgd
 fit_and_rerun wide-l2p --input wide/data.csv --k 3 --norm l2p --p 0.5 --solver irls
+# Data whose features are all constant: 0.1's mean rounds, and centering
+# must still leave all zeros, which the fit reaches with objective 0.
+python -c "print('0.1,0.1,0.1\\n' * 80, end='')" > constant.csv
+fit_and_rerun constant-fit --input constant.csv --k 1
+python -c "import json, sys; sys.exit(0 if json.load(open('constant-fit/trace.json'))['objective'][-1] == 0 else 'constant-fit has a nonzero objective')"
 # These must converge: wide-fit and wide-l2p on m >> n data, where
 # pgd's Rayleigh-Ritz step keeps wide-fit from crawling and irls's guard,
 # which takes that step when the eigen step would rise, keeps wide-l2p from
